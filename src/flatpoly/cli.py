@@ -22,7 +22,8 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import (
     UncontrollableSystem,
 )
 from .flat import LinearConstraintSpec, LtiSystem, QuadraticCostSpec, flat_transform
-from .polybasis import parameterize_outputs, parameterize_states_inputs
+from .polybasis import MAX_DEGREE, parameterize_outputs, parameterize_states_inputs
 from .costcond import condition_cost, least_distance_transform
 from .polyconstraint import compute_delta, condition_constraints, delta_table
 from .pmsm_sim import PmsmParams, Scenario, pmsm_constraints, run_closed_loop
@@ -50,6 +51,37 @@ EXIT_OK = 0
 EXIT_SOLVE_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_NOT_CONVEX = 3
+
+
+def _object(doc, name):
+    """doc itself if it is a JSON object; anything else is bad input."""
+    if not isinstance(doc, dict):
+        raise DimensionMismatch(f"{name} is not a JSON object")
+    return doc
+
+
+def _field(doc, key, convert):
+    """convert(doc[key]), with a value of the wrong JSON type as bad input."""
+    try:
+        return convert(doc[key])
+    except TypeError as exc:
+        raise DimensionMismatch(f"{key!r} has the wrong type: {exc}") from exc
+
+
+_floats = partial(np.asarray, dtype=float)
+
+#: Converters for the annotated field types of Scenario and PmsmParams.
+_CONVERTERS = {"float": float, "int": int,
+               "tuple": lambda v: tuple((float(t), float(x)) for t, x in v)}
+
+
+def _from_json(cls, doc, name):
+    """cls built from a JSON object, each value converted by its field type."""
+    types = {f.name: f.type for f in fields(cls)}
+    for key in _object(doc, name):
+        if key not in types:
+            raise DimensionMismatch(f"unknown {name} key: {key!r}")
+    return cls(**{key: _field(doc, key, _CONVERTERS[types[key]]) for key in doc})
 
 
 @dataclass
@@ -78,37 +110,39 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc):
+        doc = _object(doc, "model")
         try:
-            sys_doc = doc["system"]
-            cost_doc = doc["cost"]
-            basis_doc = doc["basis"]
-            x0 = np.asarray(doc["initial_state"], dtype=float)
+            sys_doc = _object(doc["system"], "system")
+            cost_doc = _object(doc["cost"], "cost")
+            basis_doc = _object(doc["basis"], "basis")
+            x0 = _field(doc, "initial_state", _floats)
         except KeyError as exc:
             raise DimensionMismatch(f"missing required config key: {exc}") from exc
         system = LtiSystem(
-            A=np.asarray(sys_doc["A"], dtype=float),
-            B=np.asarray(sys_doc["B"], dtype=float),
+            A=_field(sys_doc, "A", _floats),
+            B=_field(sys_doc, "B", _floats),
             d=None if sys_doc.get("d") is None
-            else np.asarray(sys_doc["d"], dtype=float),
+            else _field(sys_doc, "d", _floats),
         )
         cost = QuadraticCostSpec(
-            Q=np.asarray(cost_doc["Q"], dtype=float),
-            R=np.asarray(cost_doc["R"], dtype=float),
-            P=np.asarray(cost_doc["P"], dtype=float),
-            x_star=np.asarray(cost_doc["x_star"], dtype=float),
+            Q=_field(cost_doc, "Q", _floats),
+            R=_field(cost_doc, "R", _floats),
+            P=_field(cost_doc, "P", _floats),
+            x_star=_field(cost_doc, "x_star", _floats),
             x_ref=None if cost_doc.get("x_ref") is None
-            else np.asarray(cost_doc["x_ref"], dtype=float),
-            T=float(cost_doc["T"]),
+            else _field(cost_doc, "x_ref", _floats),
+            T=_field(cost_doc, "T", float),
         )
         con_doc = doc.get("constraints")
         constraints = None
         if con_doc is not None:
+            con_doc = _object(con_doc, "constraints")
             constraints = LinearConstraintSpec(
-                G_x=np.asarray(con_doc["G_x"], dtype=float),
-                G_u=np.asarray(con_doc["G_u"], dtype=float),
-                g0=np.asarray(con_doc["g0"], dtype=float),
+                G_x=_field(con_doc, "G_x", _floats),
+                G_u=_field(con_doc, "G_u", _floats),
+                g0=_field(con_doc, "g0", _floats),
             )
-        degree = int(basis_doc["N"])
+        degree = _field(basis_doc, "N", int)
         if x0.shape != (system.n,):
             raise DimensionMismatch(
                 f"initial_state has shape {x0.shape}, expected ({system.n},)"
@@ -245,25 +279,10 @@ def _scenario_from_file(path):
     if path is None:
         return Scenario(), PmsmParams()
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    machine_doc = doc.pop("machine", {})
-    scenario_kwargs = {}
-    mapping = {
-        "T_horizon": "T_horizon", "dt": "dt", "duration": "duration",
-        "degree": "degree", "N": "degree", "q": "q",
-        "speed_setpoints": "speed_setpoints", "load_torque": "load_torque",
-        "J_m": "J_m", "b": "b", "k_p": "k_p", "k_i": "k_i",
-        "tau_limit": "tau_limit", "current_margin": "current_margin",
-    }
-    for key, value in doc.items():
-        if key not in mapping:
-            raise DimensionMismatch(f"unknown scenario key: {key!r}")
-        target = mapping[key]
-        if target in ("speed_setpoints", "load_torque"):
-            value = tuple((float(t), float(v)) for t, v in value)
-        scenario_kwargs[target] = value
-    params = PmsmParams(**machine_doc)
-    return Scenario(**scenario_kwargs), params
+        doc = _object(json.load(fh), "scenario")
+    params = _from_json(PmsmParams, doc.pop("machine", {}), "machine")
+    doc = {("degree" if key == "N" else key): value for key, value in doc.items()}
+    return _from_json(Scenario, doc, "scenario"), params
 
 
 def _write_trace(path, trace):
@@ -323,8 +342,8 @@ def build_parser():
     p_delta = sub.add_parser(
         "delta", help="print the nonpositivity margin table"
     )
-    p_delta.add_argument("--max-n", type=int, default=15,
-                         help="largest degree to print (1..15)")
+    p_delta.add_argument("--max-n", type=int, default=MAX_DEGREE,
+                         help=f"largest degree to print (1..{MAX_DEGREE})")
     p_delta.set_defaults(func=cmd_delta)
 
     p_solve = sub.add_parser("solve", help="solve one model file")
@@ -365,8 +384,8 @@ def main(argv=None):
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "delta" and not 1 <= args.max_n <= 15:
-        parser.error(f"--max-n must be in 1..15, got {args.max_n}")
+    if args.command == "delta" and not 1 <= args.max_n <= MAX_DEGREE:
+        parser.error(f"--max-n must be in 1..{MAX_DEGREE}, got {args.max_n}")
     try:
         return args.func(args)
     except NotPositiveDefinite as exc:

@@ -92,12 +92,13 @@ class LtiSystem:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
-        _, rank = controllability_matrix_raw(A, B)
+        _, rank, _ = controllability_matrix_raw(A, B)
         object.__setattr__(self, "controllable", rank == n)
 
 
 def controllability_matrix_raw(A, B):
-    """[B, AB, ..., A^(n-1) B] and its numerical rank for raw arrays."""
+    """[B, AB, ..., A^(n-1) B], its numerical rank and its singular values
+    (largest first) for raw arrays."""
     n = A.shape[0]
     blocks = [B]
     for _ in range(n - 1):
@@ -105,7 +106,7 @@ def controllability_matrix_raw(A, B):
     C = np.hstack(blocks)
     sv = np.linalg.svd(C, compute_uv=False)
     rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
-    return C, rank
+    return C, rank, sv
 
 
 def controllability_matrix(sys: LtiSystem):
@@ -118,20 +119,19 @@ def controllability_matrix(sys: LtiSystem):
     rank : int
         Number of singular values above ``RANK_RTOL`` times the largest.
     """
-    return controllability_matrix_raw(sys.A, sys.B)
+    return controllability_matrix_raw(sys.A, sys.B)[:2]
 
 
 def _greedy_chain_selection(A, B):
     """Greedy selection of independent columns in the order
     b1..bm, Ab1..Abm, A^2 b1..  Returns the per-input chain lengths."""
     n, m = B.shape
-    _, rank = controllability_matrix_raw(A, B)
+    _, rank, sv = controllability_matrix_raw(A, B)
     if rank < n:
         raise UncontrollableSystem(
             f"controllability matrix has rank {rank} < n = {n}"
         )
-    Cfull, _ = controllability_matrix_raw(A, B)
-    thresh = RANK_RTOL * np.linalg.svd(Cfull, compute_uv=False)[0]
+    thresh = RANK_RTOL * sv[0]
 
     basis = np.zeros((n, 0))
     r = [0] * m

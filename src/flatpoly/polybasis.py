@@ -7,8 +7,8 @@ trajectory signal (outputs, chain states, inputs) is then affine in alpha,
 
     p(t) = c0(t) + c_lin(t) @ alpha,
 
-which is the representation AffinePoly stores coefficient-wise.  Costs and
-constraints downstream reduce to quadratic/linear functions of alpha.
+which AffinePolyVector stores coefficient-wise.  Costs and constraints
+downstream reduce to quadratic/linear functions of alpha.
 """
 
 from __future__ import annotations
@@ -128,58 +128,14 @@ def _check_horizon(t, T):
 
 
 @dataclass(frozen=True)
-class AffinePoly:
-    """One polynomial with coefficients affine in the free parameters.
+class AffinePolyVector:
+    """One polynomial, or a stack of q, affine in the free parameters.
 
-    coef0 : (N+1,) ndarray
-        Fixed part of each power-basis coefficient.
-    coef_lin : (N+1, n_free) ndarray
-        Linear part; coefficient j is coef0[j] + coef_lin[j] @ alpha.
+    coef0 : (N+1,) or (q, N+1) ndarray
+    coef_lin : (N+1, n_free) or (q, N+1, n_free) ndarray
+        Coefficient j is coef0[..., j] + coef_lin[..., j, :] @ alpha.
     T : float
         Horizon used to scale the basis.
-    """
-
-    coef0: np.ndarray
-    coef_lin: np.ndarray
-    T: float
-
-    @property
-    def degree(self):
-        return self.coef0.shape[0] - 1
-
-    @property
-    def n_free(self):
-        return self.coef_lin.shape[1]
-
-    def derivative(self, order=1):
-        """Time derivative as a new AffinePoly (trailing coefficients zero)."""
-        c0 = self.coef0.copy()
-        cl = self.coef_lin.copy()
-        for _ in range(order):
-            j = np.arange(1, c0.shape[0])[:, None]
-            c0 = np.vstack([c0[1:, None] * j / self.T, np.zeros((1, 1))])[:, 0]
-            cl = np.vstack([cl[1:] * j / self.T, np.zeros((1, cl.shape[1]))])
-        return AffinePoly(c0, cl, self.T)
-
-    def affine_eval(self, t):
-        """Evaluate the affine map at t: returns (b0, b_lin) with
-        value = b0 + b_lin @ alpha.  Shapes (...,) and (..., n_free)."""
-        p = _powers(t, self.T, self.degree)
-        b0 = np.tensordot(self.coef0, p, axes=(0, 0))
-        b_lin = np.moveaxis(np.tensordot(self.coef_lin, p, axes=(0, 0)), 0, -1)
-        return b0, b_lin
-
-    def __call__(self, alpha, t):
-        b0, b_lin = self.affine_eval(t)
-        return b0 + b_lin @ np.asarray(alpha, dtype=float)
-
-
-@dataclass(frozen=True)
-class AffinePolyVector:
-    """A stack of q AffinePoly rows sharing T and the free parameters.
-
-    coef0 : (q, N+1) ndarray
-    coef_lin : (q, N+1, n_free) ndarray
     role : str
         What the rows represent: 'output', 'chain', 'state' or 'input'.
     """
@@ -191,45 +147,49 @@ class AffinePolyVector:
 
     @property
     def q(self):
+        """Number of rows of a stack."""
         return self.coef0.shape[0]
 
     @property
     def degree(self):
-        return self.coef0.shape[1] - 1
+        return self.coef0.shape[-1] - 1
 
     @property
     def n_free(self):
-        return self.coef_lin.shape[2]
+        return self.coef_lin.shape[-1]
 
     def row(self, i):
-        """Row i as a scalar AffinePoly."""
-        return AffinePoly(self.coef0[i], self.coef_lin[i], self.T)
+        """Row i of a stack as a single polynomial."""
+        return AffinePolyVector(self.coef0[i], self.coef_lin[i], self.T, self.role)
 
     def derivative(self, order=1):
+        """Time derivative of the same shape (trailing coefficients zero)."""
         c0, cl, T = self.coef0, self.coef_lin, self.T
         for _ in range(order):
-            j = np.arange(1, c0.shape[1])
-            c0 = np.concatenate(
-                [c0[:, 1:] * j / T, np.zeros((c0.shape[0], 1))], axis=1
-            )
-            cl = np.concatenate(
-                [cl[:, 1:] * j[None, :, None] / T,
-                 np.zeros((cl.shape[0], 1, cl.shape[2]))],
-                axis=1,
-            )
+            j = np.arange(1, c0.shape[-1])
+            d0, dl = np.zeros(c0.shape), np.zeros(cl.shape)
+            d0[..., :-1] = c0[..., 1:] * j / T
+            dl[..., :-1, :] = cl[..., 1:, :] * j[:, None] / T
+            c0, cl = d0, dl
         return AffinePolyVector(c0, cl, T, self.role)
 
     def affine_eval(self, t):
-        """(b0, b_lin) with value = b0 + b_lin @ alpha.
-        Shapes (q,)+t.shape and (q,)+t.shape+(n_free,)."""
+        """(b0, b_lin) with value = b0 + b_lin @ alpha, shaped lead + t.shape
+        and lead + t.shape + (n_free,); lead is (q,) for a stack, else ()."""
         p = _powers(t, self.T, self.degree)
-        b0 = np.tensordot(self.coef0, p, axes=(1, 0))
-        b_lin = np.moveaxis(np.tensordot(self.coef_lin, p, axes=(1, 0)), 1, -1)
+        b0 = np.tensordot(self.coef0, p, axes=(-1, 0))
+        b_lin = np.moveaxis(
+            np.tensordot(self.coef_lin, p, axes=(-2, 0)), self.coef0.ndim - 1, -1
+        )
         return b0, b_lin
 
     def __call__(self, alpha, t):
         b0, b_lin = self.affine_eval(t)
         return b0 + b_lin @ np.asarray(alpha, dtype=float)
+
+
+#: A single polynomial is an AffinePolyVector without the leading row axis.
+AffinePoly = AffinePolyVector
 
 
 def apply_initial_conditions(fm: FlatMap, x0, basis: BasisSpec):
@@ -305,7 +265,7 @@ def parameterize_states_inputs(y: AffinePolyVector, fm: FlatMap):
     v_cl = np.zeros((m, Np1, n_free))
     row = 0
     for i, ri in enumerate(fm.r):
-        der = AffinePoly(y.coef0[i], y.coef_lin[i], T)
+        der = y.row(i)
         for _ in range(ri):
             z_c0[row], z_cl[row] = der.coef0, der.coef_lin
             row += 1
@@ -329,7 +289,7 @@ def parameterize_states_inputs(y: AffinePolyVector, fm: FlatMap):
 
 
 def evaluate(poly, alpha, t):
-    """Evaluate an AffinePoly or AffinePolyVector at times t.
+    """Evaluate an AffinePolyVector (one polynomial or a stack) at times t.
 
     Warns with ExtrapolationWarning when any t falls outside [0, T].
     """

@@ -3,8 +3,9 @@
 A degree-N constraint polynomial P is required to satisfy P(0) <= 0 and the
 tightened sample conditions P(pT/N) - Delta(N) P(0) <= 0 at the uniform
 sample points p = 1..N.  The constant Delta(N) is the supremum over [0, 1]
-of eps(s) = -1 + sum_j w_j s^j with w = Q^{-1} (1..1)' and Q the sample
-matrix ((i/N)^j); it depends on the degree only and is precomputed once.
+of eps(s) = -prod_{i=1..N} (1 - N s / i), the degree-N polynomial that is
+-1 at s = 0 and 0 at every sample s = i/N; it depends on the degree only
+and is computed once per degree.
 
 Conditioning a pointwise constraint G_x x(t) + G_u u(t) + g0 <= 0 therefore
 produces N_c (N+1) affine inequality rows in the free parameters.
@@ -13,7 +14,6 @@ produces N_c (N+1) affine inequality rows in the free parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -21,7 +21,7 @@ import scipy.optimize
 
 from .errors import DegreeOutOfRange, DimensionMismatch
 from .flat import LinearConstraintSpec
-from .polybasis import AffinePoly, AffinePolyVector
+from .polybasis import MAX_DEGREE, AffinePoly, AffinePolyVector
 
 __all__ = [
     "AffineConstraintSet",
@@ -32,12 +32,6 @@ __all__ = [
     "condition_constraints",
     "verify_nonpositivity",
 ]
-
-#: Largest degree for which Delta is defined here (same cap as the basis).
-MAX_DEGREE = 15
-
-#: Grid resolution for the supremum search.
-GRID_POINTS = 10_000
 
 
 def sample_matrix(N):
@@ -54,65 +48,24 @@ def sample_matrix(N):
     return i**j
 
 
-def _solve_exact_ones(N):
-    """w = Q^{-1} (1..1)' in exact rational arithmetic.
-
-    The sample matrix is a scaled Vandermonde system whose float solution
-    loses several digits already around N = 12; Gaussian elimination over
-    Fraction keeps the downstream supremum exact to evaluation precision.
-    """
-    M = [
-        [Fraction(i, N) ** j for j in range(1, N + 1)] + [Fraction(1)]
-        for i in range(1, N + 1)
-    ]
-    for col in range(N):
-        piv = max(range(col, N), key=lambda r: abs(M[r][col]))
-        if M[piv][col] == 0:  # pragma: no cover - Q is invertible
-            raise DegreeOutOfRange(f"sample matrix singular at N={N}")
-        M[col], M[piv] = M[piv], M[col]
-        for r in range(N):
-            if r != col and M[r][col] != 0:
-                fac = M[r][col] / M[col][col]
-                M[r] = [a - fac * b for a, b in zip(M[r], M[col])]
-    return [float(M[r][N] / M[r][r]) for r in range(N)]
-
-
-def _eps_poly(N):
-    """Coefficients of eps(s) = -1 + sum_{j=1..N} w_j s^j, low order first."""
-    return np.array([-1.0] + _solve_exact_ones(N))
-
-
-def _poly_supremum(coef):
-    """Supremum of a polynomial on [0, 1]: dense grid + root polish.
-
-    The grid brackets every sign change of the derivative; each bracket is
-    polished with Brent's method, which pins interior extrema to ~1e-12.
-    """
-    p = np.polynomial.Polynomial(coef)
-    dp = p.deriv()
-    s = np.linspace(0.0, 1.0, GRID_POINTS)
-    best = float(np.max(p(s)))
-    ds = dp(s)
-    sign_change = np.flatnonzero(np.sign(ds[:-1]) * np.sign(ds[1:]) < 0)
-    for idx in sign_change:
-        root = scipy.optimize.brentq(dp, s[idx], s[idx + 1], xtol=1e-14)
-        best = max(best, float(p(root)))
-    return best
-
-
 @lru_cache(maxsize=None)
 def compute_delta(N):
     """Nonpositivity margin Delta(N) = sup over [0,1] of eps(s).
 
-    eps(s) = -1 + s-powers' Q^{-1} (1..1)' is the worst-case overshoot of a
+    eps(s) = -prod_{i=1..N} (1 - N s / i) is the worst-case overshoot of a
     degree-N polynomial that is -1 at zero and 0 at all uniform samples;
     any polynomial meeting the tightened sample conditions stays below
     -Delta * P(0) between samples in the regime the bound covers.
 
+    Each of the N - 1 critical points of eps lies alone between two
+    neighbouring roots i/N and (i+1)/N (Rolle's theorem), where
+    eps'/eps = sum_i 1/(s - i/N) falls from +inf to -inf; one Brent solve
+    per gap finds it.
+
     Parameters
     ----------
     N : int
-        Polynomial degree, 1 <= N <= 15.
+        Polynomial degree, 1 <= N <= MAX_DEGREE.
 
     Returns
     -------
@@ -121,7 +74,13 @@ def compute_delta(N):
     """
     if not 1 <= N <= MAX_DEGREE:
         raise DegreeOutOfRange(f"degree must be in 1..{MAX_DEGREE}, got {N}")
-    return max(0.0, _poly_supremum(_eps_poly(N)))
+    i = np.arange(1, N + 1)
+    crit = [
+        scipy.optimize.brentq(lambda s: np.sum(1.0 / (s - i / N)),
+                              np.nextafter(a, b), np.nextafter(b, a))
+        for a, b in zip(i[:-1] / N, i[1:] / N)
+    ]
+    return max([0.0] + [-float(np.prod(1.0 - N * s / i)) for s in crit])
 
 
 @dataclass(frozen=True)

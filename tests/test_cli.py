@@ -110,11 +110,16 @@ def test_solve_missing_file_exits_two(tmp_path, capsys):
 
 
 def test_solve_bad_json_exits_two(tmp_path, capsys):
+    null_horizon = model_doc()
+    null_horizon["cost"]["T"] = None
     bad = tmp_path / "model.json"
-    bad.write_text("{not json")
-    rc = cli.main(["solve", "--model", str(bad),
-                   "--out", str(tmp_path / "sol.json")])
-    assert rc == 2
+    for text in ("{not json", "[]", json.dumps(null_horizon)):
+        bad.write_text(text)
+        rc = cli.main(["solve", "--model", str(bad),
+                       "--out", str(tmp_path / "sol.json")])
+        assert rc == 2, text
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_solve_shape_error_exits_two(tmp_path, capsys):
@@ -177,6 +182,21 @@ def test_simulate_pmsm_unknown_key_exits_two(tmp_path, capsys):
                    "--out", str(tmp_path / "trace")])
     assert rc == 2
     assert "unknown scenario key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param([1, 2], id="not-an-object"),
+    pytest.param({"speed_setpoints": 420.0}, id="schedule-not-a-list"),
+    pytest.param({"machine": [8.0]}, id="machine-not-an-object"),
+    pytest.param({"machine": {"I_maxx": 8.0}}, id="unknown-machine-key"),
+])
+def test_simulate_pmsm_malformed_scenario_exits_two(tmp_path, capsys, doc):
+    scenario = write_json(tmp_path / "scn.json", doc)
+    rc = cli.main(["simulate-pmsm", "--scenario", scenario,
+                   "--out", str(tmp_path / "trace")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_simulate_pmsm_machine_override(tmp_path, capsys):

@@ -155,6 +155,29 @@ def test_affine_eval_consistency():
                                rtol=1e-12, atol=1e-12)
 
 
+def test_row_and_stack_agree_on_derivatives_and_eval_shapes():
+    rng = np.random.default_rng(17)
+    sys = random_controllable(rng, 3, 2)
+    fm = flat_transform(sys)
+    N = 5
+    basis, y = parameterize_outputs(fm, rng.standard_normal(3), N, 1.3)
+    x_poly, _ = parameterize_states_inputs(y, fm)
+    q, n_free = x_poly.q, basis.n_free
+    for k in range(N + 2):
+        stack = x_poly.derivative(k)
+        for i in range(q):
+            row = x_poly.row(i).derivative(k)
+            np.testing.assert_array_equal(row.coef0, stack.row(i).coef0)
+            np.testing.assert_array_equal(row.coef_lin, stack.row(i).coef_lin)
+    top = x_poly.derivative(N + 1)
+    assert not np.any(top.coef0) and not np.any(top.coef_lin)
+
+    b0, b_lin = x_poly.row(1).affine_eval(0.4)
+    assert b0.shape == () and b_lin.shape == (n_free,)
+    b0, b_lin = x_poly.affine_eval(0.4)
+    assert b0.shape == (q,) and b_lin.shape == (q, n_free)
+
+
 def test_evaluate_warns_out_of_horizon():
     sys = LtiSystem(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]])
     fm = flat_transform(sys)
