@@ -134,26 +134,35 @@ def condition_cost(x_poly: AffinePolyVector, u_poly: AffinePolyVector,
         raise DimensionMismatch(
             f"polynomial horizon {x_poly.T} vs cost horizon {cost.T}"
         )
-    N = x_poly.degree
-    T = cost.T
     # Gram of the scaled basis: T * (unit-interval monomial Gram).
-    Ws = T * gram_weights(N, 1.0)
+    Ws = cost.T * gram_weights(x_poly.degree, 1.0)
+    K, k, k0 = _cost_terms(Ws, x_poly, u_poly, cost.Q, cost.R, cost.P,
+                           cost.x_ref, cost.x_star)
+    return ParameterizedCost(K=K, k=k, k0=k0)
 
+
+def _cost_terms(Ws, x_poly, u_poly, Q, R, P, x_ref, x_star):
+    """(K, k, k0) of the conditioned cost, without condition_cost's checks.
+
+    Ws is the Gram matrix of the scaled basis, T * gram_weights(N, 1).  An
+    all-zero R contributes nothing, so its block is skipped.
+    """
     ex0 = x_poly.coef0.copy()
-    ex0[:, 0] -= cost.x_ref
-    K, k, k0 = _quad_block(Ws, ex0, x_poly.coef_lin, cost.Q)
+    ex0[:, 0] -= x_ref
+    K, k, k0 = _quad_block(Ws, ex0, x_poly.coef_lin, Q)
 
-    Ku, ku, k0u = _quad_block(Ws, u_poly.coef0, u_poly.coef_lin, cost.R)
-    K, k, k0 = K + Ku, k + ku, k0 + k0u
+    if R.any():
+        Ku, ku, k0u = _quad_block(Ws, u_poly.coef0, u_poly.coef_lin, R)
+        K, k, k0 = K + Ku, k + ku, k0 + k0u
 
     # Terminal term at s = 1: coefficient sums.
-    sT0 = x_poly.coef0.sum(axis=1) - cost.x_star
+    sT0 = x_poly.coef0.sum(axis=1) - x_star
     sTl = x_poly.coef_lin.sum(axis=1)
-    K += np.einsum("ab,ap,bq->pq", cost.P, sTl, sTl)
-    k += 2.0 * np.einsum("ab,a,bp->p", cost.P, sT0, sTl)
-    k0 += float(sT0 @ cost.P @ sT0)
+    K += np.einsum("ab,ap,bq->pq", P, sTl, sTl)
+    k += 2.0 * np.einsum("ab,a,bp->p", P, sT0, sTl)
+    k0 += float(sT0 @ P @ sT0)
 
-    return ParameterizedCost(K=0.5 * (K + K.T), k=k, k0=k0)
+    return 0.5 * (K + K.T), k, k0
 
 
 def assert_convexity(pc: ParameterizedCost):
@@ -185,6 +194,22 @@ def assert_convexity(pc: ParameterizedCost):
     return np.triu(F)
 
 
+def _solve_upper(F, b, trans=False):
+    """F^{-1} b, or F^{-T} b when trans, for an upper-triangular F.
+
+    The same LAPACK call that scipy.linalg.solve_triangular makes for a
+    C-ordered F, with its finiteness check on b, but without its per-call
+    wrapper, which costs several times the solve at these sizes.
+    """
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = scipy.linalg.lapack.dtrtrs(F.T, b, lower=1, trans=0 if trans else 1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
 def unconstrained_optimum(pc: ParameterizedCost, F=None):
     """Unconstrained minimizer alpha0 = -K^{-1} k / 2.
 
@@ -193,8 +218,8 @@ def unconstrained_optimum(pc: ParameterizedCost, F=None):
     """
     if F is None:
         F = assert_convexity(pc)
-    y = scipy.linalg.solve_triangular(F, -0.5 * pc.k, trans="T", lower=False)
-    return scipy.linalg.solve_triangular(F, y, lower=False)
+    y = _solve_upper(F, -0.5 * pc.k, trans=True)
+    return _solve_upper(F, y)
 
 
 @dataclass(frozen=True)
@@ -222,9 +247,7 @@ class LeastDistanceProblem:
 
     def alpha_from_f(self, f):
         """Invert the change of variables: alpha = alpha0 + F^{-1} f."""
-        return self.alpha0 + scipy.linalg.solve_triangular(
-            self.F, np.asarray(f, dtype=float), lower=False
-        )
+        return self.alpha0 + _solve_upper(self.F, np.asarray(f, dtype=float))
 
 
 def least_distance_transform(pc: ParameterizedCost, constraints=None
@@ -258,9 +281,7 @@ def least_distance_transform(pc: ParameterizedCost, constraints=None
                 f"n_free {pc.n_free}"
             )
         # Solve X F = G, i.e. F' X' = G'.
-        G = scipy.linalg.solve_triangular(
-            F, constraints.G.T, trans="T", lower=False
-        ).T
+        G = _solve_upper(F, constraints.G.T, trans=True).T
         h = constraints.h - constraints.G @ alpha0
         tags = tuple(constraints.tags)
     return LeastDistanceProblem(F=F, alpha0=alpha0, c=c, G=G, h=h, tags=tags)

@@ -318,6 +318,14 @@ def _check_weight(name, M, size):
     return 0.5 * (M + M.T)
 
 
+def _require_psd(name, eigenvalues):
+    """Raise DimensionMismatch unless no eigenvalue of the weight `name` is
+    negative beyond a relative 1e-9."""
+    w = np.asarray(eigenvalues)
+    if w.min() < -1e-9 * max(1.0, abs(w).max()):
+        raise DimensionMismatch(f"{name} is not positive semidefinite")
+
+
 @dataclass(frozen=True)
 class QuadraticCostSpec:
     """Quadratic trajectory cost over a horizon [0, T].
@@ -344,9 +352,7 @@ class QuadraticCostSpec:
         R = _check_weight("R", self.R, m)
         P = _check_weight("P", self.P, n)
         for name, M in (("Q", Q), ("R", R), ("P", P)):
-            w = np.linalg.eigvalsh(M)
-            if w.min() < -1e-9 * max(1.0, abs(w).max()):
-                raise DimensionMismatch(f"{name} is not positive semidefinite")
+            _require_psd(name, np.linalg.eigvalsh(M))
         x_star = np.asarray(self.x_star, dtype=float).reshape(n)
         x_ref = x_star if self.x_ref is None else np.asarray(self.x_ref, float).reshape(n)
         if not self.T > 0:

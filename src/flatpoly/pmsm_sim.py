@@ -7,30 +7,56 @@ The electrical subsystem in the rotor frame,
 
 is linear in (i_d, i_q) once the speed w is frozen over the short prediction
 horizon; the back-EMF term enters as a constant drift.  Each sampling
-instant re-linearizes at the measured speed, plans a current trajectory that
-minimizes weighted torque error plus copper and iron losses subject to
+instant plans a current trajectory at the measured speed that minimizes
+weighted torque error plus copper and iron losses subject to
 current/voltage polytope constraints, applies the first input sample, and
 integrates the full nonlinear machine (including the mechanical equation)
 one step.  A cascaded PI controller turns the speed error into the torque
 reference.
+
+The planning problem has the same structure at every instant: B = I / L,
+so both flat outputs are the currents with relative degree one, and the
+degree, horizon, basis and constraint rows are fixed.  The closed loop
+builds and validates that structure once (_Planner) and updates only the
+numbers that depend on the speed, the measured currents and the torque
+reference at each step.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonFinite
-from .flat import LinearConstraintSpec, LtiSystem, QuadraticCostSpec, flat_transform
-from .polybasis import parameterize_outputs, parameterize_states_inputs
-from .costcond import condition_cost, least_distance_transform
-# compute_delta stays importable here: perfbench/worker.py wraps it by name.
-from .polyconstraint import compute_delta, condition_constraints
+from .flat import (
+    LinearConstraintSpec,
+    LtiSystem,
+    QuadraticCostSpec,
+    _require_psd,
+    flat_transform,
+)
+from .polybasis import AffinePolyVector, _chain_coefficients, parameterize_outputs
+from .costcond import (
+    ParameterizedCost,
+    _cost_terms,
+    gram_weights,
+    least_distance_transform,
+)
+from .polyconstraint import (
+    AffineConstraintSet,
+    _bernstein_rows,
+    constraint_polynomials,
+)
 from .solver import solve_lp, solve_qp
+
+# The closed loop does not call these; they stay importable here because
+# perfbench/worker.py wraps every name in its PMSM_NAMES list on this module.
+from .costcond import condition_cost  # noqa: F401
+from .polybasis import parameterize_states_inputs  # noqa: F401
+from .polyconstraint import compute_delta, condition_constraints  # noqa: F401
 
 __all__ = [
     "PmsmParams",
@@ -165,12 +191,16 @@ def pmsm_linearize(p: PmsmParams, omega) -> LtiSystem:
     Valid for |omega| up to about twice rated speed; beyond that the
     frozen-speed assumption degrades faster than the horizon.
     """
-    w = float(omega)
-    a = p.n_p * w
+    A, d = _frozen_speed_model(p, omega)
+    return LtiSystem(A=A, B=np.eye(2) / p.L, d=d)
+
+
+def _frozen_speed_model(p: PmsmParams, omega):
+    """(A, d) of pmsm_linearize, without building and checking the system."""
+    a = p.n_p * float(omega)
     A = np.array([[-p.R / p.L, a], [-a, -p.R / p.L]])
-    B = np.eye(2) / p.L
     d = np.array([0.0, -a * p.K / p.L])
-    return LtiSystem(A=A, B=B, d=d)
+    return A, d
 
 
 def pmsm_cost(p: PmsmParams, q, omega, tau_star, T) -> QuadraticCostSpec:
@@ -187,6 +217,20 @@ def pmsm_cost(p: PmsmParams, q, omega, tau_star, T) -> QuadraticCostSpec:
     trajectory-independent constant is dropped, so reported costs are the
     physical objective up to that constant.
     """
+    q_diag, x_ref, x_star = _cost_weights(p, q, omega, tau_star)
+    return QuadraticCostSpec(
+        Q=np.diag(q_diag),
+        R=np.zeros((2, 2)),
+        P=np.diag([0.0, q * T * torque_constant(p)**2]),
+        x_star=x_star,
+        x_ref=x_ref,
+        T=T,
+    )
+
+
+def _cost_weights(p: PmsmParams, q, omega, tau_star):
+    """(diagonal of Q, x_ref, x_star) of pmsm_cost; R and P depend on
+    neither the speed nor the torque reference."""
     c = torque_constant(p)
     w = float(omega)
     a_d = p.R + w * p.L**2 / p.R_m
@@ -194,14 +238,7 @@ def pmsm_cost(p: PmsmParams, q, omega, tau_star, T) -> QuadraticCostSpec:
     b_d = 2.0 * w * p.L * p.K / p.R_m
     x_ref = np.array([-b_d / (2.0 * a_d), q * c * tau_star / a_q])
     x_star = np.array([x_ref[0], tau_star / c])
-    return QuadraticCostSpec(
-        Q=np.diag([a_d, a_q]),
-        R=np.zeros((2, 2)),
-        P=np.diag([0.0, q * T * c**2]),
-        x_star=x_star,
-        x_ref=x_ref,
-        T=T,
-    )
+    return np.array([a_d, a_q]), x_ref, x_star
 
 
 def pmsm_constraints(p: PmsmParams, current_margin=0.0) -> LinearConstraintSpec:
@@ -294,84 +331,128 @@ def pi_speed_controller(omega_ref, omega, k_p, k_i, tau_limit, dt,
     return raw, candidate
 
 
-def _discretize(sys: LtiSystem, dt):
-    """Exact zero-order-hold discretization of x' = A x + B u + d.
+def _discretize(p: PmsmParams, omega, dt):
+    """Exact zero-order-hold discretization of the frozen-speed model.
 
-    Returns (Ad, Bd, dd) with x(dt) = Ad x0 + Bd u + dd for constant u.
+    A = -(R/L) I + n_p w [[0, 1], [-1, 0]] is a damped rotation, so
+    e^{A dt} = e^{-R dt / L} [[cos, sin], [-sin, cos]](n_p w dt); R > 0
+    makes A invertible, so S = int_0^dt e^{A s} ds = A^{-1} (e^{A dt} - I).
+    Returns (Ad, Bd, dd) with x(dt) = Ad x0 + Bd u + dd for constant u,
+    where Bd = S B = S / L and dd = S d.
     """
-    n, m = sys.n, sys.m
-    aug = np.zeros((2 * n + 1, 2 * n + 1))
-    aug[:n, :n] = sys.A
-    aug[:n, n : 2 * n] = np.eye(n)
-    E = scipy.linalg.expm(aug * dt)
-    Ad = E[:n, :n]
-    S = E[:n, n : 2 * n]  # integral of expm(A s) ds over [0, dt]
-    return Ad, S @ sys.B, S @ sys.d
+    A, d = _frozen_speed_model(p, omega)
+    sigma, a = p.R / p.L, A[0, 1]
+    theta = a * dt
+    decay = math.exp(-sigma * dt)
+    cos, sin = math.cos(theta), math.sin(theta)
+    Ad = decay * np.array([[cos, sin], [-sin, cos]])
+    # e^{A dt} - I without cancellation: decay cos - 1 is
+    # expm1(-sigma dt) cos - 2 sin^2(theta / 2).
+    diag = math.expm1(-sigma * dt) * cos - 2.0 * math.sin(0.5 * theta) ** 2
+    E_minus_I = np.array([[diag, decay * sin], [-decay * sin, diag]])
+    A_inv = np.array([[-sigma, -a], [a, -sigma]]) / (sigma**2 + a**2)
+    S = A_inv @ E_minus_I
+    return Ad, S / p.L, S @ d
 
 
-def _landing_rows(sys, dt, x0, u_poly, spec_margin):
-    """One-step-ahead state rows for the applied input slice.
+class _Planner:
+    """The receding-horizon planning problem of run_closed_loop.
 
-    The first input sample is held for one sampling period, so the state
-    the plant lands on is Ad x0 + Bd u(0) + dd (exact for the frozen-speed
+    Built once per run through the public pipeline at standstill: the flat
+    transform (r = (1, 1): the flat outputs are the currents, x = z, and
+    u = L (z' - A z - d) because B = I / L at every speed), the cost weights
+    (which check Q(0), R and P), the basis (which checks the degree), the
+    constraint spec and the landing-row selection.  plan() then updates
+    only the numbers that depend on the speed, the measured currents and
+    the torque reference.
+
+    The Bernstein coefficient p = 0 of a state-only row is a fact about the
+    measured state, which pins x(0), and not a planner decision; those rows
+    are left out by structure.  One-step landing rows are appended: the
+    first input sample is held for one sampling period, so the state the
+    plant lands on is Ad x0 + Bd u(0) + dd (exact for the frozen-speed
     model).  Constraining that point with the backed-off current bounds
     keeps the applied samples inside the true polytope, which the planned
-    polynomial alone does not guarantee: it follows the frozen-speed
-    model, not the held input the plant receives.
+    polynomial alone does not guarantee: it follows the frozen-speed model,
+    not the held input the plant receives.
     """
-    Ad, Bd, dd = _discretize(sys, dt)
-    u0_c0, u0_lin = u_poly.affine_eval(0.0)
-    land_c0 = Ad @ np.asarray(x0, dtype=float) + Bd @ u0_c0 + dd
-    land_lin = Bd @ u0_lin
-    current = np.abs(spec_margin.G_x).max(axis=1) > 0
-    G = spec_margin.G_x[current] @ land_lin
-    h = -(spec_margin.G_x[current] @ land_c0 + spec_margin.g0[current])
-    tags = tuple((int(k), -1) for k in np.flatnonzero(current))
-    return G, h, tags
 
+    def __init__(self, p: PmsmParams, scenario: Scenario):
+        T = scenario.T_horizon
+        fm = flat_transform(pmsm_linearize(p, 0.0))
+        cost = pmsm_cost(p, scenario.q, 0.0, 0.0, T)
+        _, y = parameterize_outputs(fm, np.zeros(2), scenario.degree, T)
+        spec = pmsm_constraints(p, current_margin=scenario.current_margin)
+        _, z_cl, _, v_cl = _chain_coefficients(y, fm.r)
+        self.p, self.q, self.T, self.dt = p, scenario.q, T, scenario.dt
+        self.R, self.P = cost.R, cost.P
+        self.x_cl = z_cl
+        self.Lv_cl = p.L * v_cl
+        self.Ws = T * gram_weights(y.degree, 1.0)
+        self.spec = spec
 
-def _plan(p, scenario, x0, omega, tau_ref, warm_start, solver_kind):
-    """Condition and solve one receding-horizon instance.
+        state_only = ~spec.G_u.any(axis=1)
+        rows = [(k, j) for k in range(spec.n_rows) for j in range(y.degree + 1)]
+        self.keep = np.array([i for i, (k, j) in enumerate(rows)
+                              if not (state_only[k] and j == 0)])
+        current = np.flatnonzero(spec.G_x.any(axis=1))
+        self.G_land, self.g_land = spec.G_x[current], spec.g0[current]
+        self.tags = (tuple(rows[i] for i in self.keep)
+                     + tuple((int(k), -1) for k in current))
 
-    Returns (result, u_poly).  Two receding-horizon refinements on top of
-    the plain conditioning: alpha-independent rows are pruned (the t = 0
-    current rows are facts about the measured state, not planner
-    decisions), and one-step landing rows are appended (see _landing_rows).
-    """
-    sys = pmsm_linearize(p, omega)
-    fm = flat_transform(sys)
-    cost = pmsm_cost(p, scenario.q, omega, tau_ref, scenario.T_horizon)
-    basis, y = parameterize_outputs(fm, x0, scenario.degree, scenario.T_horizon)
-    x_poly, u_poly = parameterize_states_inputs(y, fm)
-    pc = condition_cost(x_poly, u_poly, cost)
-    spec = pmsm_constraints(p, current_margin=scenario.current_margin)
-    acs = condition_constraints(x_poly, u_poly, spec, scenario.T_horizon)
-    norms = np.linalg.norm(acs.G, axis=1)
-    keep = norms > 1e-10 * max(1.0, norms.max())
-    G_land, h_land, tags_land = _landing_rows(sys, scenario.dt, x0, u_poly, spec)
-    acs = replace(
-        acs,
-        G=np.vstack([acs.G[keep], G_land]),
-        h=np.concatenate([acs.h[keep], h_land]),
-        tags=tuple(t for t, k in zip(acs.tags, keep) if k) + tags_land,
-    )
-    ldp = least_distance_transform(pc, acs)
-    if solver_kind == "qp":
-        result = solve_qp(ldp, warm_start=warm_start)
-    else:
-        result = solve_lp(ldp)
-    return result, u_poly
+    def plan(self, x0, omega, tau_star):
+        """The least-distance problem at one instant and the applied input
+        u(0) = u0 + u0_lin @ alpha as the pair (u0, u0_lin).
+
+        Raises NonFinite for non-finite inputs, DimensionMismatch when Q is
+        not positive semidefinite at this speed, NotPositiveDefinite when
+        the conditioned cost fails its Cholesky certificate.
+        """
+        x0 = np.asarray(x0, dtype=float)
+        if not (np.isfinite(x0).all() and math.isfinite(omega)
+                and math.isfinite(tau_star)):
+            raise NonFinite("planner inputs are not finite")
+        p, T = self.p, self.T
+        A, d = _frozen_speed_model(p, omega)
+        q_diag, x_ref, x_star = _cost_weights(p, self.q, omega, tau_star)
+        _require_psd("Q", q_diag)
+
+        x_c0 = np.zeros(self.x_cl.shape[:2])
+        x_c0[:, 0] = x0
+        u_c0 = np.zeros_like(x_c0)
+        u_c0[:, 0] = -p.L * (A @ x0 + d)
+        u_cl = self.Lv_cl - p.L * np.einsum("ij,jkp->ikp", A, self.x_cl)
+        x_poly = AffinePolyVector(x_c0, self.x_cl, T, role="state")
+        u_poly = AffinePolyVector(u_c0, u_cl, T, role="input")
+
+        K, k, k0 = _cost_terms(self.Ws, x_poly, u_poly, np.diag(q_diag),
+                               self.R, self.P, x_ref, x_star)
+        G, h = _bernstein_rows(constraint_polynomials(x_poly, u_poly, self.spec))
+        Ad, Bd, dd = _discretize(p, omega, self.dt)
+        land_c0 = Ad @ x0 + Bd @ u_c0[:, 0] + dd
+        land_lin = Bd @ u_cl[:, 0]
+        acs = AffineConstraintSet(
+            G=np.vstack([G[self.keep], self.G_land @ land_lin]),
+            h=np.concatenate([h[self.keep],
+                              -(self.G_land @ land_c0 + self.g_land)]),
+            tags=self.tags,
+        )
+        ldp = least_distance_transform(ParameterizedCost(K=K, k=k, k0=k0), acs)
+        return ldp, (u_c0[:, 0], u_cl[:, 0])
 
 
 def run_closed_loop(scenario: Scenario, solver_kind="qp",
                     params: PmsmParams = None):
     """Simulate the cascaded speed / predictive-torque control loop.
 
-    At every sampling instant the measured state re-seeds the planner:
-    linearize at the current speed, rebuild cost and constraints, solve,
-    apply u(0) for one step of the nonlinear plant.  Infeasible or
-    non-optimal solves fall back to the previously applied voltage and are
-    flagged in the trace; the run never aborts on a solver failure.
+    The planning problem's structure is built and validated once, before
+    the first step, so invalid machine or scenario data raises even when
+    the run has no steps.  At every sampling instant the measured state
+    re-seeds the planner: update the speed-dependent model, cost and
+    constraint numbers, solve, apply u(0) for one step of the nonlinear
+    plant.  Infeasible or non-optimal solves fall back to the previously
+    applied voltage and are flagged in the trace; the run never aborts on
+    a solver failure.
 
     Parameters
     ----------
@@ -386,6 +467,7 @@ def run_closed_loop(scenario: Scenario, solver_kind="qp",
     if solver_kind not in ("qp", "lp"):
         raise ValueError(f"solver_kind must be 'qp' or 'lp', got {solver_kind!r}")
     p = params if params is not None else PmsmParams()
+    planner = _Planner(p, scenario)
     n_steps = int(round(scenario.duration / scenario.dt))
     state = np.zeros(3)
     integrator = 0.0
@@ -400,11 +482,13 @@ def run_closed_loop(scenario: Scenario, solver_kind="qp",
             omega_ref, state[2], scenario.k_p, scenario.k_i,
             scenario.tau_limit, scenario.dt, integrator,
         )
-        result, u_poly = _plan(
-            p, scenario, state[:2], state[2], tau_ref, warm, solver_kind
-        )
+        ldp, (u0, u0_lin) = planner.plan(state[:2], state[2], tau_ref)
+        if solver_kind == "qp":
+            result = solve_qp(ldp, warm_start=warm)
+        else:
+            result = solve_lp(ldp)
         if result.status == "optimal":
-            u = u_poly(result.alpha, 0.0)
+            u = u0 + u0_lin @ result.alpha
             warm = result.active_rows if solver_kind == "qp" else None
             status = "optimal"
         else:

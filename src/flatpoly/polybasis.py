@@ -242,6 +242,31 @@ def parameterize_outputs(fm: FlatMap, x0, degree, T):
     return basis, apply_initial_conditions(fm, x0, basis)
 
 
+def _chain_coefficients(y: AffinePolyVector, r):
+    """Chain rows and top derivatives of the output polynomials.
+
+    Returns (z_c0, z_cl, v_c0, v_cl): the chain vector z stacks
+    (y_i, y_i', ..., y_i^(r_i-1)) for each output i, shapes (n, N+1) and
+    (n, N+1, n_free), and v_i = y_i^(r_i), shapes (m, N+1) and
+    (m, N+1, n_free).
+    """
+    n, m = sum(r), len(r)
+    Np1, n_free = y.degree + 1, y.n_free
+    z_c0 = np.zeros((n, Np1))
+    z_cl = np.zeros((n, Np1, n_free))
+    v_c0 = np.zeros((m, Np1))
+    v_cl = np.zeros((m, Np1, n_free))
+    row = 0
+    for i, ri in enumerate(r):
+        der = y.row(i)
+        for _ in range(ri):
+            z_c0[row], z_cl[row] = der.coef0, der.coef_lin
+            row += 1
+            der = der.derivative()
+        v_c0[i], v_cl[i] = der.coef0, der.coef_lin
+    return z_c0, z_cl, v_c0, v_cl
+
+
 def parameterize_states_inputs(y: AffinePolyVector, fm: FlatMap):
     """Map output polynomials through the flat transform.
 
@@ -256,21 +281,7 @@ def parameterize_states_inputs(y: AffinePolyVector, fm: FlatMap):
     """
     if y.q != fm.m:
         raise DimensionMismatch(f"expected {fm.m} output rows, got {y.q}")
-    n, m = fm.n, fm.m
-    Np1, n_free, T = y.degree + 1, y.n_free, y.T
-
-    z_c0 = np.zeros((n, Np1))
-    z_cl = np.zeros((n, Np1, n_free))
-    v_c0 = np.zeros((m, Np1))
-    v_cl = np.zeros((m, Np1, n_free))
-    row = 0
-    for i, ri in enumerate(fm.r):
-        der = y.row(i)
-        for _ in range(ri):
-            z_c0[row], z_cl[row] = der.coef0, der.coef_lin
-            row += 1
-            der = der.derivative()
-        v_c0[i], v_cl[i] = der.coef0, der.coef_lin
+    z_c0, z_cl, v_c0, v_cl = _chain_coefficients(y, fm.r)
 
     x_c0 = fm.Xi_x @ z_c0
     x_c0[:, 0] += fm.x_off
@@ -283,8 +294,8 @@ def parameterize_states_inputs(y: AffinePolyVector, fm: FlatMap):
     )
 
     return (
-        AffinePolyVector(x_c0, x_cl, T, role="state"),
-        AffinePolyVector(u_c0, u_cl, T, role="input"),
+        AffinePolyVector(x_c0, x_cl, y.T, role="state"),
+        AffinePolyVector(u_c0, u_cl, y.T, role="input"),
     )
 
 

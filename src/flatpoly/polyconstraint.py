@@ -205,15 +205,21 @@ def condition_constraints(x_poly: AffinePolyVector, u_poly: AffinePolyVector,
     if not np.isclose(T, x_poly.T):
         raise DimensionMismatch(f"horizon {T} vs polynomial horizon {x_poly.T}")
     P = constraint_polynomials(x_poly, u_poly, spec)
+    G, h = _bernstein_rows(P)
+    return AffineConstraintSet(
+        G=G, h=h,
+        tags=tuple((k, p) for k in range(P.q) for p in range(P.degree + 1)),
+    )
+
+
+def _bernstein_rows(P: AffinePolyVector):
+    """(G, h) of the rows b_{k,p} <= 0 for a stack of constraint polynomials,
+    ordered constraint-major; the core of condition_constraints."""
     n_c, N = P.q, P.degree
     B = _bernstein_matrix(N)
     b0 = P.coef0 @ B.T  # (n_c, N+1)
     b_lin = B @ P.coef_lin  # (n_c, N+1, n_free)
-    return AffineConstraintSet(
-        G=b_lin.reshape(n_c * (N + 1), -1),
-        h=-b0.ravel(),
-        tags=tuple((k, p) for k in range(n_c) for p in range(N + 1)),
-    )
+    return b_lin.reshape(n_c * (N + 1), -1), -b0.ravel()
 
 
 def verify_nonpositivity(P: AffinePoly, alpha, T, grid_size=100_000):

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from flatpoly import (
+    AffineConstraintSet,
     PmsmParams,
     Scenario,
     condition_constraints,
@@ -17,10 +20,18 @@ from flatpoly import (
     pmsm_cost,
     pmsm_linearize,
     run_closed_loop,
+    solve_lp,
     solve_qp,
     step_plant,
     torque_constant,
 )
+from flatpoly.errors import (
+    DegreeOutOfRange,
+    DimensionMismatch,
+    NonFinite,
+    NotPositiveDefinite,
+)
+from flatpoly.pmsm_sim import _discretize, _Planner
 
 
 @pytest.fixture(scope="module")
@@ -312,3 +323,148 @@ def test_trace_row_consistency(default_traces):
     for r in trace[:50]:
         assert r.tau == pytest.approx(c * r.i_q, rel=1e-12)
         assert math.isfinite(r.J)
+
+
+def expm_discretization(sys, dt):
+    """Zero-order-hold (Ad, Bd, dd) from the matrix exponential of the
+    augmented matrix [[A, I], [0, 0]]."""
+    n = sys.n
+    aug = np.zeros((2 * n, 2 * n))
+    aug[:n, :n] = sys.A
+    aug[:n, n:] = np.eye(n)
+    E = scipy.linalg.expm(aug * dt)
+    S = E[:n, n:]
+    return E[:n, :n], S @ sys.B, S @ sys.d
+
+
+def reference_ldp(p, scenario, x0, omega, tau_star):
+    """The closed loop's least-distance problem built from the public
+    pipeline at one instant: the conditioned cost and Bernstein rows, minus
+    the rows whose gradient vanishes, plus the one-step landing rows of the
+    current constraints, discretized through the matrix exponential."""
+    T = scenario.T_horizon
+    sys = pmsm_linearize(p, omega)
+    fm = flat_transform(sys)
+    cost = pmsm_cost(p, scenario.q, omega, tau_star, T)
+    _, y = parameterize_outputs(fm, x0, scenario.degree, T)
+    x_poly, u_poly = parameterize_states_inputs(y, fm)
+    pc = condition_cost(x_poly, u_poly, cost)
+    spec = pmsm_constraints(p, current_margin=scenario.current_margin)
+    acs = condition_constraints(x_poly, u_poly, spec, T)
+    norms = np.linalg.norm(acs.G, axis=1)
+    keep = norms > 1e-10 * max(1.0, norms.max())
+    Ad, Bd, dd = expm_discretization(sys, scenario.dt)
+    u0_c0, u0_lin = u_poly.affine_eval(0.0)
+    current = np.abs(spec.G_x).max(axis=1) > 0
+    land_c0 = Ad @ np.asarray(x0, dtype=float) + Bd @ u0_c0 + dd
+    acs = AffineConstraintSet(
+        G=np.vstack([acs.G[keep], spec.G_x[current] @ (Bd @ u0_lin)]),
+        h=np.concatenate([acs.h[keep],
+                          -(spec.G_x[current] @ land_c0 + spec.g0[current])]),
+        tags=tuple(t for t, k in zip(acs.tags, keep) if k)
+        + tuple((int(k), -1) for k in np.flatnonzero(current)),
+    )
+    return least_distance_transform(pc, acs), u_poly
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.0, -1.0, 314.0, -420.0, 628.0])
+def test_discretize_matches_matrix_exponential(omega):
+    p = PmsmParams()
+    dt = Scenario().dt
+    got = _discretize(p, omega, dt)
+    ref = expm_discretization(pmsm_linearize(p, omega), dt)
+    for name, g, r in zip(("Ad", "Bd", "dd"), got, ref):
+        err = np.abs(g - r).max()
+        assert err <= 1e-13 * np.abs(r).max(), f"{name}: {err:.2e}"
+
+
+def assert_close(got, ref, name):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape, name
+    scale = max(np.abs(ref).max(initial=0.0), 1e-300)
+    err = np.abs(got - ref).max(initial=0.0)
+    assert err <= 1e-10 * scale, f"{name}: {err:.2e} of {scale:.2e}"
+
+
+@pytest.mark.parametrize("degree", [2, 5, 8])
+def test_planner_matches_public_pipeline(degree):
+    p = PmsmParams()
+    scenario = Scenario(degree=degree)
+    planner = _Planner(p, scenario)
+    rng = np.random.default_rng(degree)
+    s3 = math.sqrt(3.0) / 2.0
+    for trial in range(50):
+        omega = 0.0 if trial == 0 else rng.uniform(-500.0, 900.0)
+        x0 = np.array([rng.uniform(-p.I_max / 2.0, 0.0),
+                       rng.uniform(-s3 * p.I_max, s3 * p.I_max)])
+        tau_star = rng.uniform(-10.0, 10.0)
+        ldp, (u0, u0_lin) = planner.plan(x0, omega, tau_star)
+        ref, u_poly = reference_ldp(p, scenario, x0, omega, tau_star)
+        assert ldp.tags == ref.tags
+        for name in ("F", "alpha0", "c", "G", "h"):
+            assert_close(getattr(ldp, name), getattr(ref, name), name)
+        ref_u0, ref_u0_lin = u_poly.affine_eval(0.0)
+        assert_close(u0, ref_u0, "u0")
+        assert_close(u0_lin, ref_u0_lin, "u0_lin")
+        for solve in (solve_qp, solve_lp):
+            a, b = solve(ldp), solve(ref)
+            assert (a.status, a.iterations) == (b.status, b.iterations), (
+                f"{solve.__name__} trial {trial}")
+
+
+def first_step_inputs(scenario):
+    tau, _ = pi_speed_controller(
+        scenario.speed_setpoints[0][1], 0.0, scenario.k_p, scenario.k_i,
+        scenario.tau_limit, scenario.dt)
+    return np.zeros(2), 0.0, tau
+
+
+@pytest.mark.parametrize("scenario, error", [
+    (Scenario(q=-1.0), DimensionMismatch),
+    (Scenario(q=-0.5), DimensionMismatch),
+    (Scenario(degree=16), DegreeOutOfRange),
+])
+def test_planner_build_raises_like_first_step(scenario, error):
+    p = PmsmParams()
+    with pytest.raises(error) as ref:
+        reference_ldp(p, scenario, *first_step_inputs(scenario))
+    with pytest.raises(error) as got:
+        _Planner(p, scenario)
+    assert str(got.value) == str(ref.value)
+    # The structure is checked before the first step, so even a run
+    # without steps rejects the data.
+    with pytest.raises(error):
+        run_closed_loop(dataclasses.replace(scenario, duration=0.0), "qp")
+
+
+def test_planner_step_raises_like_public_pipeline():
+    p = PmsmParams()
+    c = torque_constant(p)
+    scenario = Scenario(q=1.0)
+    planner = _Planner(p, scenario)
+    x0 = np.array([-1.0, 2.0])
+    # At -5000 rad/s the iron-loss term makes the q-axis weight negative.
+    with pytest.raises(DimensionMismatch) as ref:
+        pmsm_cost(p, scenario.q, -5000.0, 1.0, scenario.T_horizon)
+    with pytest.raises(DimensionMismatch) as got:
+        planner.plan(x0, -5000.0, 1.0)
+    assert str(got.value) == str(ref.value) == "Q is not positive semidefinite"
+    # Where that weight is slightly negative, within the PSD test's
+    # tolerance, the conditioned cost fails its Cholesky certificate.
+    omega = -p.R_m * (scenario.q * c**2 + p.R) - 1e-6
+    with pytest.raises(NotPositiveDefinite) as ref:
+        reference_ldp(p, scenario, x0, omega, 1.0)
+    with pytest.raises(NotPositiveDefinite) as got:
+        planner.plan(x0, omega, 1.0)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("x0, omega, tau_star", [
+    ((math.nan, 0.0), 0.0, 1.0),
+    ((0.0, 0.0), math.inf, 1.0),
+    ((0.0, 0.0), 0.0, math.nan),
+])
+def test_planner_rejects_non_finite_inputs(x0, omega, tau_star):
+    planner = _Planner(PmsmParams(), Scenario())
+    with pytest.raises(NonFinite):
+        planner.plan(np.array(x0), omega, tau_star)
