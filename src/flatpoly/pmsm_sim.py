@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite
+from .errors import NonFinite, NotPositiveDefinite
 from .flat import (
     LinearConstraintSpec,
     LtiSystem,
@@ -215,7 +215,9 @@ def pmsm_cost(p: PmsmParams, q, omega, tau_star, T) -> QuadraticCostSpec:
     q T (tau(T) - tau*)^2.  Completing the square per axis turns this into
     diagonal (x - x_ref)' Q (x - x_ref) weights with zero input weight; the
     trajectory-independent constant is dropped, so reported costs are the
-    physical objective up to that constant.
+    physical objective up to that constant.  Raises NotPositiveDefinite at
+    a speed where a diagonal weight is zero, because the stage cost is
+    then linear in that current and has no minimum.
     """
     q_diag, x_ref, x_star = _cost_weights(p, q, omega, tau_star)
     return QuadraticCostSpec(
@@ -235,6 +237,10 @@ def _cost_weights(p: PmsmParams, q, omega, tau_star):
     w = float(omega)
     a_d = p.R + w * p.L**2 / p.R_m
     a_q = q * c**2 + p.R + w / p.R_m
+    for axis, a in (("d", a_d), ("q", a_q)):
+        if a == 0.0:
+            raise NotPositiveDefinite(
+                f"the {axis}-axis cost weight is zero at omega = {w!r} rad/s")
     b_d = 2.0 * w * p.L * p.K / p.R_m
     x_ref = np.array([-b_d / (2.0 * a_d), q * c * tau_star / a_q])
     x_star = np.array([x_ref[0], tau_star / c])
@@ -405,8 +411,9 @@ class _Planner:
         u(0) = u0 + u0_lin @ alpha as the pair (u0, u0_lin).
 
         Raises NonFinite for non-finite inputs, DimensionMismatch when Q is
-        not positive semidefinite at this speed, NotPositiveDefinite when
-        the conditioned cost fails its Cholesky certificate.
+        not positive semidefinite at this speed, NotPositiveDefinite when a
+        diagonal weight of Q is zero or the conditioned cost fails its
+        Cholesky certificate.
         """
         x0 = np.asarray(x0, dtype=float)
         if not (np.isfinite(x0).all() and math.isfinite(omega)

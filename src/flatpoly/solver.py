@@ -1,11 +1,16 @@
 """Solvers for the conditioned problem in least-distance form.
 
-The quadratic path minimizes f'f subject to G f <= h with an active-set
-method: the least-distance problem is reduced to a nonnegative least-squares
-problem (one column per constraint row), solved by the classic active-set
-iteration with smallest-index tie breaking.  The dual variables come out of
-the same iteration, so KKT conditions hold by construction at the reported
-solution.
+The quadratic path minimizes f'f subject to G f <= h with Goldfarb and
+Idnani's dual active-set method (Math. Prog. 27, 1983), which the identity
+Hessian makes short.  From f = 0, or from a warm-start active set, it adds
+the most violated row (smallest index on ties), first dropping any active
+row whose multiplier would reach zero on the way.  After every change one
+QR factorization of the active rows gives the exact minimum-norm point on
+them, so stationarity, complementarity and dual feasibility hold to
+rounding at every iterate and nothing is left to polish at the end.  It
+stops once no row is violated by more than 1e-12 max(1, |h|_inf) on the
+scaled rows, a bound that grows with h as rounding does.  The iteration
+count is one per add or drop.
 
 The linear path splits f into nonnegative parts, minimizes the coordinate
 sum with a dense two-phase primal simplex (steepest reduced cost, falling
@@ -14,8 +19,9 @@ impossible), and maps the vertex back.  Its quadratic cost exceeds the QP
 cost by at most a factor tied to the parameter count, which
 suboptimality_report checks.
 
-Both solvers normalize each constraint row to unit gradient norm first and
-apply one absolute feasibility tolerance to the scaled rows.
+Both solvers normalize each constraint row to unit gradient norm first; a
+row with no gradient is a constant, and one violated by more than
+FEASIBILITY_TOL makes the instance infeasible.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .errors import FlatpolyError
 from .costcond import (
     LeastDistanceProblem,
     ParameterizedCost,
+    _solve_upper,
     quadratic_value,
     unconstrained_optimum,
 )
@@ -48,6 +55,9 @@ FEASIBILITY_TOL = 1e-8
 
 #: Rows with gradient norm at or below this are constants, not constraints.
 ZERO_ROW_TOL = 1e-13
+
+#: A unit row closer than this to the span of the active rows depends on them.
+DEPENDENT_ROW_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -113,111 +123,96 @@ def _infeasible(solver):
     )
 
 
-def _nnls_active_set(E, b, max_iter, seed=None):
-    """min ||E u - b|| over u >= 0 by the active-set iteration.
+def _dual_active_set(Gn, hn, max_iter, seed):
+    """min f'f over unit rows Gn f <= hn by Goldfarb and Idnani's dual method.
 
-    seed is an optional iterable of variable indices to start in the
-    passive (nonzero) set; infeasible seed components are dropped before
-    the main loop.  Ties always resolve to the smallest index, which is
-    the anti-cycling rule for this method.
+    The active set starts from the seed rows, possibly none (duplicates and
+    rows in the span of earlier ones skipped, then rows of nonpositive
+    multiplier dropped, smallest index first).  Each iteration adds the most
+    violated row, or drops the active row whose multiplier reaches zero
+    first on the way there; ties go to the smallest row index.  After each
+    change one QR factorization of the active rows gives f and the
+    multipliers u of f'f/2 exactly: Gn_A f = hn_A and f = -Gn_A' u.
 
-    Returns (u, iterations, converged).
+    Returns (status, f, active, u, iterations) with status 'optimal',
+    'infeasible' or 'iteration_limit'.
     """
-    n_vars = E.shape[1]
-    passive = np.zeros(n_vars, dtype=bool)
-    u = np.zeros(n_vars)
+    n = Gn.shape[1]
+    tol = 1e-12 * max(1.0, np.abs(hn).max())
+    active = sorted(set(seed))
+    f, u = np.zeros(n), np.zeros(0)
+    while active:
+        Q, R = np.linalg.qr(Gn[active].T)
+        dep = np.flatnonzero(np.abs(np.diag(R)) <= DEPENDENT_ROW_TOL)
+        if len(active) > n or dep.size:
+            del active[int(dep[0]) if dep.size else n]
+            continue
+        y = _solve_upper(R, hn[active], trans=True)
+        u_seed = -_solve_upper(R, y)
+        if u_seed.min() > 0.0:
+            f, u = Q @ y, u_seed
+            break
+        del active[int(np.argmax(u_seed <= 0.0))]
+
     iters = 0
-    tol = 1e-11 * max(1.0, np.abs(E).max())
-
-    def ls_on_passive():
-        idx = np.flatnonzero(passive)
-        z = np.zeros(n_vars)
-        if idx.size:
-            z[idx] = np.linalg.lstsq(E[:, idx], b, rcond=None)[0]
-        return z
-
-    if seed is not None:
-        passive[np.asarray(list(seed), dtype=int)] = True
-        while passive.any():
-            z = ls_on_passive()
-            bad = passive & (z <= tol)
-            if not bad.any():
-                u = np.where(passive, z, 0.0)
-                break
-            passive[np.argmax(bad)] = False
-        else:
-            u = np.zeros(n_vars)
-
     while True:
-        w = E.T @ (b - E @ u)
-        w[passive] = -np.inf
-        if not (~passive).any() or np.max(w) <= tol:
-            return u, iters, True
-        # Most violated dual, smallest index on ties (argmax returns first).
-        passive[int(np.argmax(w))] = True
+        viol = Gn @ f - hn
+        viol[active] = -np.inf
+        p = int(np.argmax(viol))
+        if viol[p] <= tol:
+            return "optimal", f, active, u, iters
+        u = np.append(u, 0.0)  # the multiplier of p grows from zero
         while True:
             iters += 1
             if iters > max_iter:
-                return u, iters, False
-            z = ls_on_passive()
-            inner = passive & (z <= tol)
-            if not inner.any():
-                u = np.where(passive, z, 0.0)
-                break
-            idx = np.flatnonzero(inner)
-            ratios = u[idx] / (u[idx] - z[idx])
-            theta = np.min(ratios)
-            u = u + theta * (z - u)
-            drop = idx[int(np.argmin(ratios))]
-            u[drop] = 0.0
-            u[~passive] = 0.0
-            np.maximum(u, 0.0, out=u)
-            passive[drop] = False
-
-
-def _polish_active(Gn, hn, support):
-    """Re-solve the equality-constrained projection on the given active set.
-
-    f = Gn_A' lam with Gn_A Gn_A' lam = hn_A is the exact minimum-norm point
-    with those rows tight; the multipliers -2 lam must be nonnegative for it
-    to be the constrained optimum.  Returns (f, duals) or None if the
-    active-set guess does not check out (caller keeps the iterate).
-    """
-    A = np.flatnonzero(support)
-    if A.size == 0:
-        return np.zeros(Gn.shape[1]), np.zeros(0)
-    GA = Gn[A]
-    M = GA @ GA.T
-    try:
-        lam = np.linalg.solve(M, hn[A])
-    except np.linalg.LinAlgError:
-        return None
-    f = GA.T @ lam
-    mu = -2.0 * lam
-    if np.any(mu < -1e-9):
-        return None
-    if Gn.shape[0] and np.max(Gn @ f - hn) > FEASIBILITY_TOL:
-        return None
-    return f, np.maximum(mu, 0.0)
+                return "iteration_limit", None, (), None, iters
+            k = len(active)
+            Q, R = np.linalg.qr(Gn[active + [p]].T)
+            if k < n and abs(R[k, k]) > DEPENDENT_ROW_TOL:
+                y = _solve_upper(R, hn[active + [p]], trans=True)
+                u_full = -_solve_upper(R, y)
+                blocking = np.flatnonzero(u_full[:k] < 0.0)
+                if blocking.size == 0:
+                    active, f, u = active + [p], Q @ y, u_full
+                    break
+                # Along the segment from u to u_full, the first multiplier
+                # to reach zero leaves the active set.
+                ratios = u[blocking] / (u[blocking] - u_full[blocking])
+                step = u_full - u
+            else:
+                # Row p lies in the span of the active rows: f stays, and
+                # raising its multiplier moves the others by -r each.
+                r = _solve_upper(R[:k, :k], R[:k, k])
+                blocking = np.flatnonzero(r > DEPENDENT_ROW_TOL)
+                if blocking.size == 0:
+                    return "infeasible", None, (), None, iters
+                ratios = u[blocking] / r[blocking]
+                step = np.append(-r, 1.0)
+            j = np.lexsort((np.asarray(active)[blocking], ratios))[0]
+            u = np.maximum(u + ratios[j] * step, 0.0)
+            drop = int(blocking[j])
+            u = np.delete(u, drop)
+            del active[drop]
 
 
 def solve_qp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
              ) -> SolveResult:
     """Minimize f'f subject to the least-distance constraint rows.
 
-    The dual of the least-distance problem is a nonnegative least-squares
-    problem with one variable per row: stack E = [-G'; -h'], b = e_{n+1};
-    with residual r = E u - b, the optimizer is f = -r[:n] / r[n] and the
-    multipliers are u rescaled, so stationarity 2 f + G' mu = 0 is exact.
-    A zero residual certifies that no feasible f exists.
+    The dual active-set method of the module docstring, on the unit-norm
+    rows Gn f <= hn: the reported f, active rows and multipliers mu satisfy
+    2 f + Gn' mu = 0, mu >= 0 and mu_i (Gn f - hn)_i = 0 to rounding.  A
+    violated row in the span of the active rows whose multiplier can grow
+    without limit certifies that no feasible f exists.
 
     Parameters
     ----------
     max_iter : int, optional
-        Defaults to 10 times the row count.
+        Cap on active-set changes (one per add or drop); defaults to 10
+        times the row count.
     warm_start : iterable of int, optional
         Row indices (original indexing) expected active, e.g. from the
-        previous receding-horizon step.
+        previous receding-horizon step; they are the starting active set.
 
     Returns
     -------
@@ -238,42 +233,24 @@ def solve_qp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
     if max_iter is None:
         max_iter = 10 * M
 
-    E = np.vstack([-Gn.T, -hn[None, :]])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    seed = None
+    seed = []
     if warm_start is not None:
         orig_to_scaled = {int(o): s for s, o in enumerate(kept)}
         seed = [orig_to_scaled[int(r)] for r in warm_start
                 if int(r) in orig_to_scaled]
-    u, iters, converged = _nnls_active_set(E, b, max_iter, seed=seed)
-    if not converged:
+    status, f, active, u, iters = _dual_active_set(Gn, hn, max_iter, seed)
+    if status != "optimal":
         return SolveResult(
             alpha=None, f=None, quadratic_cost=float("nan"),
-            iterations=iters, solver="qp", active_rows=(),
-            status="iteration_limit",
+            iterations=iters, solver="qp", active_rows=(), status=status,
         )
-    r = E @ u - b
-    rnorm = np.linalg.norm(r)
-    if rnorm <= 1e-10:
-        return SolveResult(
-            alpha=None, f=None, quadratic_cost=float("nan"),
-            iterations=iters, solver="qp", active_rows=(),
-            status="infeasible",
-        )
-    f = -r[:n] / r[n]
-    mu = -2.0 * u / r[n]
-    support = u > 0
-    polished = _polish_active(Gn, hn, support)
-    if polished is not None:
-        f, mu_active = polished
-        mu = np.zeros(M)
-        mu[np.flatnonzero(support)] = mu_active
-    active = tuple(int(kept[i]) for i in np.flatnonzero(support))
+    mu = np.zeros(M)
+    mu[active] = 2.0 * u
     alpha = ldp.alpha_from_f(f)
     return SolveResult(
         alpha=alpha, f=f, quadratic_cost=float(f @ f + ldp.c),
-        iterations=iters, solver="qp", active_rows=active,
+        iterations=iters, solver="qp",
+        active_rows=tuple(int(kept[i]) for i in sorted(active)),
         status="optimal", duals=mu,
     )
 

@@ -103,6 +103,22 @@ def test_solve_infeasible_exits_one(tmp_path, capsys):
     assert not (tmp_path / "sol.csv").exists()
 
 
+def test_solve_large_scale_double_integrator_both_optimal(tmp_path):
+    # The README model with a large initial state, then a large state weight.
+    constraints = {"G_x": [[0.0, 0.0]], "G_u": [[1.0]], "g0": [-0.8]}
+    large_x0 = model_doc(constraints)
+    large_x0["initial_state"] = [1e7, 0.0]
+    large_q = model_doc(constraints)
+    large_q["cost"]["Q"][0][0] = 1e12
+    for name, doc in (("large_x0", large_x0), ("large_q", large_q)):
+        model = write_json(tmp_path / f"{name}.json", doc)
+        out = tmp_path / f"{name}-sol.json"
+        assert cli.main(["solve", "--model", model, "--solver", "both",
+                         "--out", str(out)]) == 0, name
+        sol = json.loads(out.read_text())
+        assert sol["qp"]["status"] == sol["lp"]["status"] == "optimal", name
+
+
 def test_solve_missing_file_exits_two(tmp_path, capsys):
     out = tmp_path / "sol.json"
     rc = cli.main(["solve", "--model", str(tmp_path / "nope.json"),

@@ -459,6 +459,24 @@ def test_planner_step_raises_like_public_pipeline():
     assert str(got.value) == str(ref.value)
 
 
+def test_zero_cost_weight_raises_flatpoly_error():
+    # a_d = R + omega L^2 / R_m and a_q = q c^2 + R + omega / R_m vanish at
+    # these speeds; the tracking cost then has no minimum.
+    p = PmsmParams()
+    scenario = Scenario(q=1.0)
+    planner = _Planner(p, scenario)
+    c = torque_constant(p)
+    speeds = {"d": -p.R * p.R_m / p.L**2,
+              "q": -(scenario.q * c**2 + p.R) * p.R_m}
+    for axis, omega in speeds.items():
+        with pytest.raises(NotPositiveDefinite) as ref:
+            pmsm_cost(p, scenario.q, omega, 1.0, scenario.T_horizon)
+        with pytest.raises(NotPositiveDefinite) as got:
+            planner.plan(np.array([-1.0, 2.0]), omega, 1.0)
+        assert str(got.value) == str(ref.value)
+        assert f"{axis}-axis cost weight is zero" in str(ref.value)
+
+
 @pytest.mark.parametrize("x0, omega, tau_star", [
     ((math.nan, 0.0), 0.0, 1.0),
     ((0.0, 0.0), math.inf, 1.0),

@@ -250,6 +250,21 @@ def test_warm_start_resolves_in_zero_iterations():
     np.testing.assert_allclose(warm.f, cold.f, atol=1e-10)
 
 
+def test_warm_start_with_rank_deficient_seed_matches_cold():
+    # f1 >= 1 twice, f2 >= 1 and 2 f1 >= 2: rows 0, 1 and 3 are parallel,
+    # so a seed holding two of them is rank-deficient.
+    ldp = toy_ldp([[-1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [-2.0, 0.0]],
+                  [-1.0, -1.0, -1.0, -2.0])
+    cold = solve_qp(ldp)
+    np.testing.assert_allclose(cold.f, [1.0, 1.0], atol=1e-12)
+    for seed in ([0, 1, 2], [0, 0, 2], [0, 1, 2, 3]):
+        warm = solve_qp(ldp, warm_start=seed)
+        assert warm.status == "optimal" and warm.iterations == 0, seed
+        np.testing.assert_allclose(warm.f, cold.f, atol=1e-12)
+        assert warm.quadratic_cost == pytest.approx(cold.quadratic_cost)
+        check_kkt(ldp, warm)
+
+
 def test_repeat_solves_bitwise_identical():
     rng = np.random.default_rng(97)
     ldp, _ = random_feasible_ldp(rng)
