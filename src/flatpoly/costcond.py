@@ -94,14 +94,26 @@ def _quad_block(W, c0, cl, M):
     c0 : (q, N+1), cl : (q, N+1, n_free), W : (N+1, N+1), M : (q, q).
     Returns (K, k, k0) contributions.
     """
-    Wc0 = np.einsum("ij,bj->bi", W, c0)
     Wcl = np.einsum("ij,bjp->bip", W, cl)
     K = np.einsum("ab,aip,biq->pq", M, cl, Wcl)
+    k, k0 = _linear_terms(W, c0, cl, Wcl, M)
+    return K, k, k0
+
+
+def _linear_terms(W, c0, cl, Wcl, M):
+    """(k, k0) of _quad_block, given its Wcl = W cl.
+
+    Callers whose cl is fixed keep Wcl and call this for the parts that
+    depend on c0.  Every caller goes through these einsums, so they agree
+    to the last bit; that matters because alpha0 = -K^{-1} k / 2 amplifies
+    rounding in k by up to cond(K).
+    """
+    Wc0 = np.einsum("ij,bj->bi", W, c0)
     k = np.einsum("ab,aip,bi->p", M, cl, Wc0) + np.einsum(
         "ab,ai,bip->p", M, c0, Wcl
     )
     k0 = np.einsum("ab,ai,bi->", M, c0, Wc0)
-    return K, k, float(k0)
+    return k, float(k0)
 
 
 def condition_cost(x_poly: AffinePolyVector, u_poly: AffinePolyVector,
@@ -136,33 +148,22 @@ def condition_cost(x_poly: AffinePolyVector, u_poly: AffinePolyVector,
         )
     # Gram of the scaled basis: T * (unit-interval monomial Gram).
     Ws = cost.T * gram_weights(x_poly.degree, 1.0)
-    K, k, k0 = _cost_terms(Ws, x_poly, u_poly, cost.Q, cost.R, cost.P,
-                           cost.x_ref, cost.x_star)
-    return ParameterizedCost(K=K, k=k, k0=k0)
-
-
-def _cost_terms(Ws, x_poly, u_poly, Q, R, P, x_ref, x_star):
-    """(K, k, k0) of the conditioned cost, without condition_cost's checks.
-
-    Ws is the Gram matrix of the scaled basis, T * gram_weights(N, 1).  An
-    all-zero R contributes nothing, so its block is skipped.
-    """
     ex0 = x_poly.coef0.copy()
-    ex0[:, 0] -= x_ref
-    K, k, k0 = _quad_block(Ws, ex0, x_poly.coef_lin, Q)
+    ex0[:, 0] -= cost.x_ref
+    K, k, k0 = _quad_block(Ws, ex0, x_poly.coef_lin, cost.Q)
 
-    if R.any():
-        Ku, ku, k0u = _quad_block(Ws, u_poly.coef0, u_poly.coef_lin, R)
+    # An all-zero R contributes nothing, so its block is skipped.
+    if cost.R.any():
+        Ku, ku, k0u = _quad_block(Ws, u_poly.coef0, u_poly.coef_lin, cost.R)
         K, k, k0 = K + Ku, k + ku, k0 + k0u
 
     # Terminal term at s = 1: coefficient sums.
-    sT0 = x_poly.coef0.sum(axis=1) - x_star
+    sT0 = x_poly.coef0.sum(axis=1) - cost.x_star
     sTl = x_poly.coef_lin.sum(axis=1)
-    K += np.einsum("ab,ap,bq->pq", P, sTl, sTl)
-    k += 2.0 * np.einsum("ab,a,bp->p", P, sT0, sTl)
-    k0 += float(sT0 @ P @ sT0)
-
-    return 0.5 * (K + K.T), k, k0
+    K += np.einsum("ab,ap,bq->pq", cost.P, sTl, sTl)
+    k += 2.0 * np.einsum("ab,a,bp->p", cost.P, sT0, sTl)
+    k0 += float(sT0 @ cost.P @ sT0)
+    return ParameterizedCost(K=0.5 * (K + K.T), k=k, k0=k0)
 
 
 def assert_convexity(pc: ParameterizedCost):
@@ -179,9 +180,14 @@ def assert_convexity(pc: ParameterizedCost):
         With the 1-based index of the failing pivot.  Typically signals a
         degenerate weighting that leaves some parameter direction free.
     """
-    K = pc.K
-    if not np.all(np.isfinite(K)):
+    return _cholesky(pc.K)
+
+
+def _cholesky(K):
+    """assert_convexity on a bare symmetric K."""
+    if not np.isfinite(K).all():
         raise NotPositiveDefinite("K contains non-finite entries")
+    # dpotrf zeroes the lower triangle (clean=1).
     F, info = scipy.linalg.lapack.dpotrf(K, lower=0, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefinite(
@@ -191,7 +197,8 @@ def assert_convexity(pc: ParameterizedCost):
         )
     if info < 0:  # pragma: no cover - argument error
         raise NotPositiveDefinite(f"Cholesky failed with LAPACK info={info}")
-    return np.triu(F)
+    # C order, so that _solve_upper passes F.T to LAPACK without a copy.
+    return np.ascontiguousarray(F)
 
 
 def _solve_upper(F, b, trans=False):
@@ -265,23 +272,28 @@ def least_distance_transform(pc: ParameterizedCost, constraints=None
     constraints : AffineConstraintSet or None
         None means unconstrained.
     """
-    F = assert_convexity(pc)
-    if np.abs(np.diag(F)).min() <= 0:  # pragma: no cover - dpotrf guards this
-        raise SingularFactor("Cholesky factor has a zero diagonal entry")
-    alpha0 = unconstrained_optimum(pc, F)
-    c = quadratic_value(pc, alpha0)
     if constraints is None or constraints.G.shape[0] == 0:
-        G = np.zeros((0, pc.n_free))
-        h = np.zeros(0)
-        tags = ()
+        G, h, tags = np.zeros((0, pc.n_free)), np.zeros(0), ()
     else:
         if constraints.G.shape[1] != pc.n_free:
             raise DimensionMismatch(
                 f"constraint columns {constraints.G.shape[1]} vs "
                 f"n_free {pc.n_free}"
             )
-        # Solve X F = G, i.e. F' X' = G'.
-        G = _solve_upper(F, constraints.G.T, trans=True).T
-        h = constraints.h - constraints.G @ alpha0
-        tags = tuple(constraints.tags)
-    return LeastDistanceProblem(F=F, alpha0=alpha0, c=c, G=G, h=h, tags=tags)
+        G, h, tags = constraints.G, constraints.h, tuple(constraints.tags)
+    return _least_distance(pc.K, pc.k, pc.k0, G, h, tags)
+
+
+def _least_distance(K, k, k0, G, h, tags):
+    """least_distance_transform on checked arrays: K symmetric, G and h
+    finite, G with K's column count.  Certifies K by its Cholesky factor."""
+    F = _cholesky(K)
+    if np.abs(np.diag(F)).min() <= 0:  # pragma: no cover - dpotrf guards this
+        raise SingularFactor("Cholesky factor has a zero diagonal entry")
+    alpha0 = _solve_upper(F, _solve_upper(F, -0.5 * k, trans=True))
+    c = float(alpha0 @ K @ alpha0 + k @ alpha0 + k0)
+    # Solve X F = G, i.e. F' X' = G'.
+    return LeastDistanceProblem(
+        F=F, alpha0=alpha0, c=c,
+        G=_solve_upper(F, G.T, trans=True).T, h=h - G @ alpha0, tags=tags,
+    )

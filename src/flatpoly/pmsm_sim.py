@@ -17,9 +17,12 @@ reference.
 The planning problem has the same structure at every instant: B = I / L,
 so both flat outputs are the currents with relative degree one, and the
 degree, horizon, basis and constraint rows are fixed.  The closed loop
-builds and validates that structure once (_Planner) and updates only the
-numbers that depend on the speed, the measured currents and the torque
-reference at each step.
+builds and validates that structure once (_Planner), together with every
+array that does not depend on the step: the cost's Gram blocks, the
+constraint rows' constant part and their part proportional to the speed.
+Each step then combines these with the speed, the measured currents and
+the torque reference, adds the landing rows and runs the least-distance
+transform.
 """
 
 from __future__ import annotations
@@ -39,22 +42,17 @@ from .flat import (
     flat_transform,
 )
 from .polybasis import AffinePolyVector, _chain_coefficients, parameterize_outputs
-from .costcond import (
-    ParameterizedCost,
-    _cost_terms,
-    gram_weights,
-    least_distance_transform,
-)
+from .costcond import _least_distance, _linear_terms, gram_weights
 from .polyconstraint import (
-    AffineConstraintSet,
     _bernstein_rows,
+    _require_finite_rows,
     constraint_polynomials,
 )
 from .solver import solve_lp, solve_qp
 
 # The closed loop does not call these; they stay importable here because
 # perfbench/worker.py wraps every name in its PMSM_NAMES list on this module.
-from .costcond import condition_cost  # noqa: F401
+from .costcond import condition_cost, least_distance_transform  # noqa: F401
 from .polybasis import parameterize_states_inputs  # noqa: F401
 from .polyconstraint import compute_delta, condition_constraints  # noqa: F401
 
@@ -121,6 +119,10 @@ class Scenario:
     planned current bounds off by a small amount so that the applied
     samples stay inside the true polytope despite the frozen-speed model
     error and the zero-order hold of the applied input.
+
+    Construction raises ValueError for a duration, b or current_margin that
+    is negative or not finite, a J_m or tau_limit that is not positive, or
+    PI gains that are not finite.
     """
 
     T_horizon: float = 2e-3
@@ -140,8 +142,18 @@ class Scenario:
     def __post_init__(self):
         if not 0 < self.dt <= self.T_horizon:
             raise ValueError("need 0 < dt <= T_horizon")
-        if self.duration < 0:
-            raise ValueError("duration must be nonnegative")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError("duration must be finite and nonnegative")
+        if not self.J_m > 0:
+            raise ValueError("J_m must be strictly positive")
+        if not 0 <= self.b < math.inf:
+            raise ValueError("b must be finite and nonnegative")
+        if not self.tau_limit > 0:
+            raise ValueError("tau_limit must be strictly positive")
+        if not (math.isfinite(self.k_p) and math.isfinite(self.k_i)):
+            raise ValueError("k_p and k_i must be finite")
+        if not 0 <= self.current_margin < math.inf:
+            raise ValueError("current_margin must be finite and nonnegative")
         for sched in (self.speed_setpoints, self.load_torque):
             times = [t for t, _ in sched]
             if times != sorted(times) or (times and times[0] != 0.0):
@@ -368,9 +380,31 @@ class _Planner:
     transform (r = (1, 1): the flat outputs are the currents, x = z, and
     u = L (z' - A z - d) because B = I / L at every speed), the cost weights
     (which check Q(0), R and P), the basis (which checks the degree), the
-    constraint spec and the landing-row selection.  plan() then updates
-    only the numbers that depend on the speed, the measured currents and
-    the torque reference.
+    constraint spec and the landing-row selection.
+
+    Everything that does not depend on the step's numbers is stored then:
+
+    - the cost: Q = diag(a_d, a_q) and R = 0, and the free parameters of
+      each axis are that axis's coefficients 1..N, so K = a_d K_d + a_q K_q
+      + K_P with the per-axis Gram blocks K_d, K_q and the terminal block
+      K_P; and Ws x_cl, which k uses at every step;
+    - the Bernstein rows G = G0 + omega G1 of the polynomial constraints,
+      less the rows left out below: A = A0 + a J with a = n_p omega, so
+      the input coefficients are u_cl = U0 + (L a) Ua, and G1 = L n_p Ga;
+    - the map from the constraints' values at t = 0 to h: the constant
+      term of every constraint polynomial is its value at t = 0, and
+      column 0 of the Bernstein matrix is all ones, so h repeats it;
+    - u0_lin: x(0) is pinned, so u(0) = u0 + u0_lin @ alpha with a
+      constant u0_lin at every speed.
+
+    A step then computes only the cost weights at its speed and torque
+    reference, k and k0 (through costcond._linear_terms, which
+    condition_cost also uses), the applied-input constant u0, the exact
+    discretization and the 4 landing rows, and the least-distance
+    transform: one Cholesky factorization and three triangular solves.
+    On the stock experiment every step's problem is, to the last bit, the
+    one condition_cost, condition_constraints and least_distance_transform
+    build from the same polynomials.
 
     The Bernstein coefficient p = 0 of a state-only row is a fact about the
     measured state, which pins x(0), and not a planner decision; those rows
@@ -389,21 +423,45 @@ class _Planner:
         cost = pmsm_cost(p, scenario.q, 0.0, 0.0, T)
         _, y = parameterize_outputs(fm, np.zeros(2), scenario.degree, T)
         spec = pmsm_constraints(p, current_margin=scenario.current_margin)
-        _, z_cl, _, v_cl = _chain_coefficients(y, fm.r)
-        self.p, self.q, self.T, self.dt = p, scenario.q, T, scenario.dt
-        self.R, self.P = cost.R, cost.P
-        self.x_cl = z_cl
-        self.Lv_cl = p.L * v_cl
+        _, x_cl, _, v_cl = _chain_coefficients(y, fm.r)
+        self.p, self.q, self.dt, self.spec = p, scenario.q, scenario.dt, spec
+
+        # The cost, in _quad_block's terms; pmsm_cost has no input weight.
+        self.x_cl, self.P = x_cl, cost.P
         self.Ws = T * gram_weights(y.degree, 1.0)
-        self.spec = spec
+        self.Wcl = np.einsum("ij,bjp->bip", self.Ws, x_cl)
+        self.K_d, self.K_q = np.einsum("aip,aiq->apq", x_cl, self.Wcl)
+        self.sTl = x_cl.sum(axis=1)
+        self.K_P = np.einsum("ab,ap,bq->pq", cost.P, self.sTl, self.sTl)
+
+        # A = A0 + a J with a = n_p omega, so u_cl = L v_cl - L A x_cl is
+        # U0 + (L a) Ua.  Every coefficient gets one of the two terms, so
+        # scaling Ua by L a rounds as the product L A x_cl does.
+        A0 = _frozen_speed_model(p, 0.0)[0]
+        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        U0 = p.L * v_cl - p.L * np.einsum("ij,jkp->ikp", A0, x_cl)
+        Ua = -np.einsum("ij,jkp->ikp", J, x_cl)
+        self.u0_lin = U0[:, 0]
+        self.u0_lin.setflags(write=False)
 
         state_only = ~spec.G_u.any(axis=1)
         rows = [(k, j) for k in range(spec.n_rows) for j in range(y.degree + 1)]
-        self.keep = np.array([i for i, (k, j) in enumerate(rows)
-                              if not (state_only[k] and j == 0)])
+        keep = [i for i, (k, j) in enumerate(rows)
+                if not (state_only[k] and j == 0)]
+        zero = np.zeros(x_cl.shape[:2])
+
+        def bernstein_rows(x_lin, u_lin):
+            poly = constraint_polynomials(AffinePolyVector(zero, x_lin, T),
+                                          AffinePolyVector(zero, u_lin, T),
+                                          spec)
+            return _bernstein_rows(poly)[0][keep]
+
+        self.G0 = bernstein_rows(x_cl, U0)
+        self.Ga = bernstein_rows(np.zeros_like(x_cl), Ua)
+        self.row_constraint = np.array([rows[i][0] for i in keep])
         current = np.flatnonzero(spec.G_x.any(axis=1))
         self.G_land, self.g_land = spec.G_x[current], spec.g0[current]
-        self.tags = (tuple(rows[i] for i in self.keep)
+        self.tags = (tuple(rows[i] for i in keep)
                      + tuple((int(k), -1) for k in current))
 
     def plan(self, x0, omega, tau_star):
@@ -411,41 +469,44 @@ class _Planner:
         u(0) = u0 + u0_lin @ alpha as the pair (u0, u0_lin).
 
         Raises NonFinite for non-finite inputs, DimensionMismatch when Q is
-        not positive semidefinite at this speed, NotPositiveDefinite when a
-        diagonal weight of Q is zero or the conditioned cost fails its
-        Cholesky certificate.
+        not positive semidefinite at this speed or a constraint row is not
+        finite, NotPositiveDefinite when a diagonal weight of Q is zero or
+        the conditioned cost fails its Cholesky certificate.
         """
         x0 = np.asarray(x0, dtype=float)
         if not (np.isfinite(x0).all() and math.isfinite(omega)
                 and math.isfinite(tau_star)):
             raise NonFinite("planner inputs are not finite")
-        p, T = self.p, self.T
-        A, d = _frozen_speed_model(p, omega)
+        p, spec = self.p, self.spec
         q_diag, x_ref, x_star = _cost_weights(p, self.q, omega, tau_star)
         _require_psd("Q", q_diag)
 
-        x_c0 = np.zeros(self.x_cl.shape[:2])
-        x_c0[:, 0] = x0
-        u_c0 = np.zeros_like(x_c0)
-        u_c0[:, 0] = -p.L * (A @ x0 + d)
-        u_cl = self.Lv_cl - p.L * np.einsum("ij,jkp->ikp", A, self.x_cl)
-        x_poly = AffinePolyVector(x_c0, self.x_cl, T, role="state")
-        u_poly = AffinePolyVector(u_c0, u_cl, T, role="input")
+        # Each entry of K is one weight times one Gram entry, as in
+        # _quad_block's einsum.
+        K = q_diag[0] * self.K_d + q_diag[1] * self.K_q + self.K_P
+        ex0 = np.zeros(self.x_cl.shape[:2])
+        ex0[:, 0] = x0 - x_ref
+        k, k0 = _linear_terms(self.Ws, ex0, self.x_cl, self.Wcl,
+                              np.diag(q_diag))
+        # The terminal term of condition_cost.  P is diagonal and sTl
+        # selects one coefficient sum per column, so each entry of sP @ sTl
+        # is one product, as in condition_cost's einsum.
+        sT0 = x0 - x_star
+        sP = sT0 @ self.P
+        k += 2.0 * (sP @ self.sTl)
+        k0 += float(sP @ sT0)
 
-        K, k, k0 = _cost_terms(self.Ws, x_poly, u_poly, np.diag(q_diag),
-                               self.R, self.P, x_ref, x_star)
-        G, h = _bernstein_rows(constraint_polynomials(x_poly, u_poly, self.spec))
+        A, d = _frozen_speed_model(p, omega)
+        u0 = -p.L * (A @ x0 + d)
         Ad, Bd, dd = _discretize(p, omega, self.dt)
-        land_c0 = Ad @ x0 + Bd @ u_c0[:, 0] + dd
-        land_lin = Bd @ u_cl[:, 0]
-        acs = AffineConstraintSet(
-            G=np.vstack([G[self.keep], self.G_land @ land_lin]),
-            h=np.concatenate([h[self.keep],
-                              -(self.G_land @ land_c0 + self.g_land)]),
-            tags=self.tags,
-        )
-        ldp = least_distance_transform(ParameterizedCost(K=K, k=k, k0=k0), acs)
-        return ldp, (u_c0[:, 0], u_cl[:, 0])
+        land_c0 = Ad @ x0 + Bd @ u0 + dd
+        const = spec.G_x @ x0 + spec.G_u @ u0 + spec.g0
+        G = np.vstack([self.G0 + (p.L * A[0, 1]) * self.Ga,
+                       self.G_land @ (Bd @ self.u0_lin)])
+        h = np.concatenate([-const[self.row_constraint],
+                            -(self.G_land @ land_c0 + self.g_land)])
+        _require_finite_rows(G, h)
+        return _least_distance(K, k, k0, G, h, self.tags), (u0, self.u0_lin)
 
 
 def run_closed_loop(scenario: Scenario, solver_kind="qp",

@@ -158,8 +158,7 @@ class AffineConstraintSet:
             raise DimensionMismatch(
                 f"rows disagree: G {G.shape[0]}, h {h.size}, tags {len(self.tags)}"
             )
-        if not (np.all(np.isfinite(G)) and np.all(np.isfinite(h))):
-            raise DimensionMismatch("constraint rows contain non-finite entries")
+        _require_finite_rows(G, h)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "tags", tuple(self.tags))
@@ -167,6 +166,12 @@ class AffineConstraintSet:
     @property
     def n_rows(self):
         return self.h.size
+
+
+def _require_finite_rows(G, h):
+    """Raise DimensionMismatch unless every entry of G and h is finite."""
+    if not (np.isfinite(G).all() and np.isfinite(h).all()):
+        raise DimensionMismatch("constraint rows contain non-finite entries")
 
 
 def constraint_polynomials(x_poly: AffinePolyVector, u_poly: AffinePolyVector,

@@ -207,6 +207,7 @@ def test_simulate_pmsm_unknown_key_exits_two(tmp_path, capsys):
     pytest.param({"speed_setpoints": 420.0}, id="schedule-not-a-list"),
     pytest.param({"machine": [8.0]}, id="machine-not-an-object"),
     pytest.param({"machine": {"I_maxx": 8.0}}, id="unknown-machine-key"),
+    pytest.param({"duration": float("inf")}, id="infinite-duration"),
 ])
 def test_simulate_pmsm_malformed_scenario_exits_two(tmp_path, capsys, doc):
     scenario = write_json(tmp_path / "scn.json", doc)

@@ -31,6 +31,7 @@ from flatpoly.errors import (
     NonFinite,
     NotPositiveDefinite,
 )
+from flatpoly import pmsm_sim
 from flatpoly.pmsm_sim import _discretize, _Planner
 
 
@@ -314,6 +315,25 @@ def test_scenario_validation():
         run_closed_loop(Scenario(duration=0.001), "sqp")
 
 
+def test_scenario_rejects_bad_scalars():
+    # An infinite or NaN duration has no step count; the other values
+    # would run a loop whose plant or speed controller means nothing.
+    bad = {
+        "duration": [math.inf, math.nan],
+        "J_m": [-1e-4, 0.0, math.nan],
+        "b": [-1e-4, math.inf, math.nan],
+        "tau_limit": [-1.0, 0.0, math.nan],
+        "k_p": [math.inf, math.nan],
+        "k_i": [-math.inf, math.nan],
+        "current_margin": [-1.0, math.inf, math.nan],
+    }
+    for field, values in bad.items():
+        for value in values:
+            with pytest.raises(ValueError, match=field):
+                Scenario(**{field: value})
+    Scenario(b=0.0, current_margin=0.0, k_p=0.0, k_i=0.0)
+
+
 def test_trace_row_consistency(default_traces):
     p = PmsmParams()
     c = torque_constant(p)
@@ -386,7 +406,7 @@ def assert_close(got, ref, name):
     assert err <= 1e-10 * scale, f"{name}: {err:.2e} of {scale:.2e}"
 
 
-@pytest.mark.parametrize("degree", [2, 5, 8])
+@pytest.mark.parametrize("degree", [1, 2, 3, 5, 8])
 def test_planner_matches_public_pipeline(degree):
     p = PmsmParams()
     scenario = Scenario(degree=degree)
@@ -410,6 +430,35 @@ def test_planner_matches_public_pipeline(degree):
             a, b = solve(ldp), solve(ref)
             assert (a.status, a.iterations) == (b.status, b.iterations), (
                 f"{solve.__name__} trial {trial}")
+
+
+class ReferencePlanner:
+    """_Planner's interface over the public pipeline, rebuilt every step."""
+
+    def __init__(self, p, scenario):
+        self.p, self.scenario = p, scenario
+
+    def plan(self, x0, omega, tau_star):
+        ldp, u_poly = reference_ldp(self.p, self.scenario, x0, omega, tau_star)
+        return ldp, u_poly.affine_eval(0.0)
+
+
+@pytest.mark.parametrize("kind", ["qp", "lp"])
+def test_closed_loop_matches_public_pipeline(monkeypatch, kind):
+    scenario = Scenario(degree=3, q=5.0, speed_setpoints=((0.0, 200.0),),
+                        duration=0.02)
+    fast = run_closed_loop(scenario, kind)
+    monkeypatch.setattr(pmsm_sim, "_Planner", ReferencePlanner)
+    ref = run_closed_loop(scenario, kind)
+    assert len(fast) == len(ref) == 200
+    assert [(r.status, r.iterations) for r in fast] == [
+        (r.status, r.iterations) for r in ref]
+    for field in ("t", "i_d", "i_q", "v_d", "v_q", "omega", "tau", "tau_ref",
+                  "J"):
+        got = np.array([getattr(r, field) for r in fast])
+        want = np.array([getattr(r, field) for r in ref])
+        err = np.abs(got - want).max()
+        assert err <= 1e-9 * np.abs(want).max(), f"{field}: {err:.2e}"
 
 
 def first_step_inputs(scenario):
@@ -475,6 +524,16 @@ def test_zero_cost_weight_raises_flatpoly_error():
             planner.plan(np.array([-1.0, 2.0]), omega, 1.0)
         assert str(got.value) == str(ref.value)
         assert f"{axis}-axis cost weight is zero" in str(ref.value)
+
+
+def test_planner_rejects_overflowing_rows():
+    # At this finite speed the model's rotation and back-EMF terms
+    # overflow, so the constraint rows are not finite.
+    planner = _Planner(PmsmParams(), Scenario())
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DimensionMismatch,
+            match="constraint rows contain non-finite entries"):
+        planner.plan(np.array([-1.0, 2.0]), 1e307, 1.0)
 
 
 @pytest.mark.parametrize("x0, omega, tau_star", [
