@@ -22,7 +22,9 @@ array that does not depend on the step: the cost's Gram blocks, the
 constraint rows' constant part and their part proportional to the speed.
 Each step then combines these with the speed, the measured currents and
 the torque reference, adds the landing rows and runs the least-distance
-transform.
+transform.  The solve starts from the previous step's answer: the QP from
+its active rows, the LP from its optimal basis, which solve_lp accepts
+without pivoting while it stays optimal.
 """
 
 from __future__ import annotations
@@ -498,14 +500,19 @@ class _Planner:
 
         A, d = _frozen_speed_model(p, omega)
         u0 = -p.L * (A @ x0 + d)
+        const = spec.G_x @ x0 + spec.G_u @ u0 + spec.g0
+        G_poly = self.G0 + (p.L * A[0, 1]) * self.Ga
+        h_poly = -const[self.row_constraint]
+        # Checked before _discretize: an overflowed speed term would
+        # otherwise reach math.cos as inf.
+        _require_finite_rows(G_poly, h_poly)
         Ad, Bd, dd = _discretize(p, omega, self.dt)
         land_c0 = Ad @ x0 + Bd @ u0 + dd
-        const = spec.G_x @ x0 + spec.G_u @ u0 + spec.g0
-        G = np.vstack([self.G0 + (p.L * A[0, 1]) * self.Ga,
-                       self.G_land @ (Bd @ self.u0_lin)])
-        h = np.concatenate([-const[self.row_constraint],
-                            -(self.G_land @ land_c0 + self.g_land)])
-        _require_finite_rows(G, h)
+        G_land = self.G_land @ (Bd @ self.u0_lin)
+        h_land = -(self.G_land @ land_c0 + self.g_land)
+        _require_finite_rows(G_land, h_land)
+        G = np.vstack([G_poly, G_land])
+        h = np.concatenate([h_poly, h_land])
         return _least_distance(K, k, k0, G, h, self.tags), (u0, self.u0_lin)
 
 
@@ -518,9 +525,10 @@ def run_closed_loop(scenario: Scenario, solver_kind="qp",
     the run has no steps.  At every sampling instant the measured state
     re-seeds the planner: update the speed-dependent model, cost and
     constraint numbers, solve, apply u(0) for one step of the nonlinear
-    plant.  Infeasible or non-optimal solves fall back to the previously
-    applied voltage and are flagged in the trace; the run never aborts on
-    a solver failure.
+    plant.  Each solve is warm-started from the previous optimal step: the
+    QP from its active rows, the LP from its basis.  Infeasible or
+    non-optimal solves fall back to the previously applied voltage and are
+    flagged in the trace; the run never aborts on a solver failure.
 
     Parameters
     ----------
@@ -554,10 +562,10 @@ def run_closed_loop(scenario: Scenario, solver_kind="qp",
         if solver_kind == "qp":
             result = solve_qp(ldp, warm_start=warm)
         else:
-            result = solve_lp(ldp)
+            result = solve_lp(ldp, warm_start=warm)
         if result.status == "optimal":
             u = u0 + u0_lin @ result.alpha
-            warm = result.active_rows if solver_kind == "qp" else None
+            warm = result.active_rows if solver_kind == "qp" else result.basis
             status = "optimal"
         else:
             u = prev_u

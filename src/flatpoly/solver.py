@@ -17,7 +17,14 @@ sum with a dense two-phase primal simplex (steepest reduced cost, falling
 back to Bland's rule after a degenerate stretch so cycling stays
 impossible), and maps the vertex back.  Its quadratic cost exceeds the QP
 cost by at most a factor tied to the parameter count, which
-suboptimality_report checks.
+suboptimality_report checks.  Given the optimal basis of a previous
+solve, e.g. the previous receding-horizon step's, solve_lp first checks
+once whether that basis is still optimal: its vertex is primal feasible
+(every basic value >= -1e-12 max(1, |h|_inf)) and dual feasible (every
+reduced cost >= -1e-9, the simplex's own stopping test).  If so, that
+vertex is the answer, after 0 iterations; if not, or if the basis no
+longer maps onto the rows, the cold two-phase simplex runs unchanged.
+There is no pivoting from a warm basis.
 
 Both solvers normalize each constraint row to unit gradient norm first; a
 row with no gradient is a constant, and one violated by more than
@@ -30,6 +37,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg.lapack
 
 from .errors import FlatpolyError
 from .costcond import (
@@ -67,6 +75,11 @@ class SolveResult:
     alpha, f are None unless status is 'optimal'.  active_rows lists the
     constraint rows (original indexing) tight at the solution; duals holds
     the corresponding multipliers for the unit-norm scaled rows.
+
+    basis is solve_lp's optimal basis, which its warm_start accepts: one
+    column per kept row, by identity and in original row indexing (j for
+    fp_j, n_free + j for fn_j, 2 n_free + r for the slack of row r),
+    sorted.  It is None for the other solvers and for non-optimal solves.
     """
 
     alpha: np.ndarray
@@ -77,6 +90,7 @@ class SolveResult:
     active_rows: tuple
     status: str
     duals: np.ndarray = None
+    basis: tuple = None
 
 
 SuboptimalityReport = namedtuple(
@@ -312,18 +326,93 @@ def _simplex(tableau, basis, cost_row, max_iter, iters):
         basis[leave] = entering
 
 
-def solve_lp(ldp: LeastDistanceProblem, max_iter=None) -> SolveResult:
+def _warm_vertex(Gn, hn, kept, n_rows, basis):
+    """The vertex of a given basis if that basis is optimal for these rows.
+
+    basis is in SolveResult.basis form.  Of its M columns, s <= n come
+    from fp and fn and the rest are slacks, so the s rows whose slack is
+    nonbasic hold B v = hn with B the s x s block of the basic fp, fn
+    columns; v gives the vertex f, and B' y = 1 the duals y of those rows
+    (the other rows' duals are zero).  The basis is optimal when every
+    basic value is >= -1e-12 max(1, |hn|_inf) and every reduced cost is
+    >= -1e-9: 1 - Gn' y for fp, 1 + Gn' y for fn and -y for a slack.
+
+    Returns (f, sorted basis tuple), or None when the basis is not optimal
+    here or does not map onto these rows: wrong length, a duplicated or
+    out-of-range column, the slack of a row that _scaled_rows dropped, or
+    a singular or non-finite block.
+    """
+    M, n = Gn.shape
+    b = np.asarray(basis)
+    if b.shape != (M,) or b.dtype.kind not in "iu":
+        return None
+    b = np.sort(b)
+    if b[0] < 0 or b[-1] >= 2 * n + n_rows or (b[1:] == b[:-1]).any():
+        return None
+    n_fp, s = np.searchsorted(b, (n, 2 * n))
+    fp, fn = b[:n_fp], b[n_fp:s] - n
+    basic_fp = np.zeros(n, dtype=bool)
+    basic_fp[fp] = True
+    if basic_fp[fn].any():
+        return None  # fp_j and fn_j are both basic: B is singular
+    rows = b[s:] - 2 * n
+    basic_slack = np.searchsorted(kept, rows)
+    if (kept.take(basic_slack, mode="clip") != rows).any():
+        return None  # the slack of a dropped row
+    tight = np.ones(M, dtype=bool)
+    tight[basic_slack] = False
+    Gt = Gn[tight]
+    tol = 1e-12 * max(1.0, np.abs(hn).max())
+    f = np.zeros(n)
+    y = np.zeros(s)
+    if s:
+        B = Gt[:, np.concatenate([fp, fn])]
+        B[:, n_fp:] *= -1.0
+        lu, piv, info = scipy.linalg.lapack.dgetrf(B)
+        if info > 0:
+            return None
+        v, _ = scipy.linalg.lapack.dgetrs(lu, piv, hn[tight])
+        y, _ = scipy.linalg.lapack.dgetrs(lu, piv, np.ones(s), trans=1)
+        if not (np.isfinite(v).all() and np.isfinite(y).all()):
+            return None
+        if (v < -tol).any():
+            return None
+        f[fp] = v[:n_fp]
+        f[fn] = -v[n_fp:]
+    if (Gn[basic_slack] @ f - hn[basic_slack] > tol).any():
+        return None
+    if (y > 1e-9).any() or (1.0 - np.abs(y @ Gt) < -1e-9).any():
+        return None
+    return f, tuple(b.tolist())
+
+
+def solve_lp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
+             ) -> SolveResult:
     """Approximate the least-distance problem through a linear program.
 
     Each coordinate is split as f_i = fp_i - fn_i with both parts
     nonnegative and the coordinate sum of the parts is minimized, subject
     to the same rows.  At a simplex vertex at most one of fp_i, fn_i is
     basic, so the split is exact.  Solved by a two-phase dense primal
-    simplex with Bland's rule (anti-cycling, deterministic).
+    simplex: steepest reduced cost, falling back to Bland's rule after a
+    degenerate stretch (anti-cycling, deterministic).
+
+    Parameters
+    ----------
+    max_iter : int, optional
+        Cap on simplex pivots over both phases; defaults to 10 times the
+        column count of the standard form.
+    warm_start : sequence of int, optional
+        A basis in SolveResult.basis form, e.g. the previous
+        receding-horizon step's.  If it maps onto these rows and is
+        primal and dual feasible for them (module docstring), its vertex
+        is returned after 0 iterations; otherwise the cold two-phase
+        simplex runs as without it.
 
     Returns
     -------
-    SolveResult with solver='lp'.
+    SolveResult with solver='lp'; on 'optimal', basis holds the optimal
+    basis for the next warm start.
     """
     n = ldp.n_free
     scaled = _scaled_rows(ldp.G, ldp.h)
@@ -337,6 +426,10 @@ def solve_lp(ldp: LeastDistanceProblem, max_iter=None) -> SolveResult:
             iterations=0, solver="lp", active_rows=(), status="optimal",
             duals=np.zeros(0),
         )
+    if warm_start is not None:
+        warm = _warm_vertex(Gn, hn, kept, ldp.G.shape[0], warm_start)
+        if warm is not None:
+            return _lp_result(ldp, Gn, hn, kept, warm[0], 0, warm[1])
     if max_iter is None:
         max_iter = 10 * (M + 2 * n)
 
@@ -407,6 +500,14 @@ def solve_lp(ldp: LeastDistanceProblem, max_iter=None) -> SolveResult:
     v = np.zeros(n_cols)
     v[basis] = tableau[:, -1]
     f = v[:n] - v[n : 2 * n]
+    slack = basis >= 2 * n
+    basis[slack] = 2 * n + kept[basis[slack] - 2 * n]
+    return _lp_result(ldp, Gn, hn, kept, f, iters,
+                      tuple(np.sort(basis).tolist()))
+
+
+def _lp_result(ldp, Gn, hn, kept, f, iters, basis):
+    """The optimal SolveResult of solve_lp at the vertex f."""
     slack_vals = Gn @ f - hn
     active = tuple(int(kept[i]) for i in np.flatnonzero(
         slack_vals >= -FEASIBILITY_TOL
@@ -415,7 +516,7 @@ def solve_lp(ldp: LeastDistanceProblem, max_iter=None) -> SolveResult:
     return SolveResult(
         alpha=alpha, f=f, quadratic_cost=float(f @ f + ldp.c),
         iterations=iters, solver="lp", active_rows=active,
-        status="optimal",
+        status="optimal", basis=basis,
     )
 
 

@@ -461,6 +461,24 @@ def test_closed_loop_matches_public_pipeline(monkeypatch, kind):
         assert err <= 1e-9 * np.abs(want).max(), f"{field}: {err:.2e}"
 
 
+def test_lp_loop_warm_start_matches_cold_loop(monkeypatch, default_traces):
+    # The stock LP loop reuses the previous step's basis at most steps
+    # and gives the trace that solving every step cold gives.
+    warm = default_traces["lp"]
+    assert all(r.status == "optimal" for r in warm)
+    assert sum(r.iterations == 0 for r in warm) >= 1100
+    monkeypatch.setattr(pmsm_sim, "solve_lp",
+                        lambda ldp, warm_start=None: solve_lp(ldp))
+    cold = run_closed_loop(default_traces["scenario"], "lp")
+    assert all(r.iterations > 0 for r in cold)
+    for field in ("t", "i_d", "i_q", "v_d", "v_q", "omega", "tau", "tau_ref",
+                  "J"):
+        got = np.array([getattr(r, field) for r in warm])
+        want = np.array([getattr(r, field) for r in cold])
+        err = np.abs(got - want).max()
+        assert err <= 1e-9 * np.abs(want).max(), f"{field}: {err:.2e}"
+
+
 def first_step_inputs(scenario):
     tau, _ = pi_speed_controller(
         scenario.speed_setpoints[0][1], 0.0, scenario.k_p, scenario.k_i,
@@ -527,13 +545,15 @@ def test_zero_cost_weight_raises_flatpoly_error():
 
 
 def test_planner_rejects_overflowing_rows():
-    # At this finite speed the model's rotation and back-EMF terms
-    # overflow, so the constraint rows are not finite.
+    # At these finite speeds the model's rotation and back-EMF terms
+    # overflow, so the constraint rows are not finite; at 1e308 the
+    # rotation rate n_p omega itself is inf.
     planner = _Planner(PmsmParams(), Scenario())
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            DimensionMismatch,
-            match="constraint rows contain non-finite entries"):
-        planner.plan(np.array([-1.0, 2.0]), 1e307, 1.0)
+    for omega in (1e307, 1e308):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DimensionMismatch,
+                match="constraint rows contain non-finite entries"):
+            planner.plan(np.array([-1.0, 2.0]), omega, 1.0)
 
 
 @pytest.mark.parametrize("x0, omega, tau_star", [

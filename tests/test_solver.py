@@ -30,10 +30,17 @@ def toy_ldp(G, h, n=None, c=0.0):
     )
 
 
-def random_feasible_ldp(rng, max_n=12, max_m=60):
-    """Instance with a known feasible point f0 and mixed slack signs."""
-    n = int(rng.integers(2, max_n + 1))
-    M = int(rng.integers(1, max_m + 1))
+def random_feasible_ldp(rng, max_n=12, max_m=60, shape=None):
+    """Instance with a known feasible point f0 and mixed slack signs.
+
+    shape = (M, n) fixes the row and parameter counts instead of drawing
+    them.
+    """
+    if shape is None:
+        n = int(rng.integers(2, max_n + 1))
+        M = int(rng.integers(1, max_m + 1))
+    else:
+        M, n = shape
     G = rng.standard_normal((M, n))
     f0 = rng.standard_normal(n) * rng.uniform(0.2, 1.5)
     slack = np.where(rng.random(M) < 0.4, 0.0, rng.random(M))
@@ -263,6 +270,97 @@ def test_warm_start_with_rank_deficient_seed_matches_cold():
         np.testing.assert_allclose(warm.f, cold.f, atol=1e-12)
         assert warm.quadratic_cost == pytest.approx(cold.quadratic_cost)
         check_kkt(ldp, warm)
+
+
+def assert_same_as_cold(ldp, res):
+    cold = solve_lp(ldp)
+    assert (res.status, res.iterations) == (cold.status, cold.iterations)
+    assert res.active_rows == cold.active_rows and res.basis == cold.basis
+    if cold.f is None:
+        assert res.f is None
+    else:
+        assert np.array_equal(res.f, cold.f)
+
+
+def test_lp_warm_start_from_optimal_basis_takes_zero_iterations():
+    rng = np.random.default_rng(101)
+    for trial in range(40):
+        ldp, _ = random_feasible_ldp(rng)
+        cold = solve_lp(ldp)
+        warm = solve_lp(ldp, warm_start=cold.basis)
+        assert warm.status == "optimal" and warm.iterations == 0, trial
+        assert warm.active_rows == cold.active_rows, trial
+        assert warm.basis == cold.basis, trial
+        err = np.abs(warm.f - cold.f).max()
+        assert err <= 1e-12 * max(1.0, np.abs(cold.f).max()), trial
+        assert warm.quadratic_cost == pytest.approx(cold.quadratic_cost,
+                                                    rel=1e-12)
+
+
+def test_lp_warm_start_from_stale_basis_solves_cold():
+    rng = np.random.default_rng(103)
+    for trial in range(20):
+        ldp, _ = random_feasible_ldp(rng, max_m=40)
+        other, _ = random_feasible_ldp(rng, shape=ldp.G.shape)
+        stale = solve_lp(other).basis
+        assert len(stale) == ldp.h.size
+        res = solve_lp(ldp, warm_start=stale)
+        assert res.iterations > 0, trial  # the stale basis was not optimal
+        assert_same_as_cold(ldp, res)
+
+
+def test_lp_malformed_warm_start_solves_cold():
+    rng = np.random.default_rng(107)
+    for _ in range(5):
+        ldp, _ = random_feasible_ldp(rng, max_m=40)
+        n, M = ldp.n_free, ldp.h.size
+        basis = list(solve_lp(ldp).basis)
+        malformed = [
+            basis[:-1],                          # wrong length
+            basis + [basis[0]],                  # wrong length
+            [basis[1]] + basis[1:],              # duplicated column
+            basis[:-1] + [2 * n + M],            # slack of no row
+            [-1] + basis[1:],                    # negative column
+            [float(j) for j in basis],           # not integers
+        ]
+        for bad in malformed:
+            assert_same_as_cold(ldp, solve_lp(ldp, warm_start=bad))
+
+
+def test_lp_warm_start_unusable_basis_solves_cold():
+    # Row 0 is a constant that _scaled_rows drops, so its slack cannot
+    # be basic; fp_0 and fn_0 together make a singular block.
+    ldp = toy_ldp([[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                  [1.0, -1.0, -1.0, 5.0])
+    cold = solve_lp(ldp)
+    assert cold.status == "optimal" and cold.iterations > 0
+    for bad in ([4, 5, 6], [0, 2, 7]):
+        assert_same_as_cold(ldp, solve_lp(ldp, warm_start=bad))
+    warm = solve_lp(ldp, warm_start=cold.basis)
+    assert warm.iterations == 0
+    np.testing.assert_allclose(warm.f, [1.0, 1.0], atol=1e-15)
+    # f = 0 is optimal here, with the slacks of rows 1 and 2 basic; the
+    # slack of the dropped row 0 cannot stand in for either.
+    ldp = toy_ldp([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1.0, 1.0, 1.0])
+    assert solve_lp(ldp).basis == (5, 6)
+    for bad in ([4, 6], [4, 5]):
+        assert_same_as_cold(ldp, solve_lp(ldp, warm_start=bad))
+
+
+def test_lp_warm_start_on_infeasible_instance_stays_infeasible():
+    rng = np.random.default_rng(109)
+    for trial in range(10):
+        ldp, _ = random_feasible_ldp(rng, max_m=40)
+        if ldp.h.size == 1:
+            continue
+        basis = solve_lp(ldp).basis
+        # The last row now demands G_0 f >= h_0 + 1 against row 0.
+        G, h = ldp.G.copy(), ldp.h.copy()
+        G[-1], h[-1] = -G[0], -h[0] - 1.0
+        bad = toy_ldp(G, h, c=ldp.c)
+        res = solve_lp(bad, warm_start=basis)
+        assert res.status == "infeasible", trial
+        assert_same_as_cold(bad, res)
 
 
 def test_repeat_solves_bitwise_identical():
