@@ -71,8 +71,16 @@ def _field(doc, key, convert):
 
 _floats = partial(np.asarray, dtype=float)
 
+
+def _integer(value):
+    """int(value) for a number without a fractional part."""
+    if not float(value).is_integer():
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
 #: Converters for the annotated field types of Scenario and PmsmParams.
-_CONVERTERS = {"float": float, "int": int,
+_CONVERTERS = {"float": float, "int": _integer,
                "tuple": lambda v: tuple((float(t), float(x)) for t, x in v)}
 
 
@@ -143,7 +151,7 @@ class ModelConfig:
                 G_u=_field(con_doc, "G_u", _floats),
                 g0=_field(con_doc, "g0", _floats),
             )
-        degree = _field(basis_doc, "N", int)
+        degree = _field(basis_doc, "N", _integer)
         if x0.shape != (system.n,):
             raise DimensionMismatch(
                 f"initial_state has shape {x0.shape}, expected ({system.n},)"

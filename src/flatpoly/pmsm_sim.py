@@ -24,7 +24,8 @@ Each step then combines these with the speed, the measured currents and
 the torque reference, adds the landing rows and runs the least-distance
 transform.  The solve starts from the previous step's answer: the QP from
 its active rows, the LP from its optimal basis, which solve_lp accepts
-without pivoting while it stays optimal.
+without pivoting while it stays optimal and otherwise takes a few dual
+simplex pivots from.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class PmsmParams:
                      "rated_speed", "rated_torque"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if not self.n_p >= 1:
+        if not (self.n_p >= 1 and float(self.n_p).is_integer()):
             raise ValueError("n_p must be a positive integer")
 
 
@@ -123,8 +124,9 @@ class Scenario:
     error and the zero-order hold of the applied input.
 
     Construction raises ValueError for a duration, b or current_margin that
-    is negative or not finite, a J_m or tau_limit that is not positive, or
-    PI gains that are not finite.
+    is negative or not finite, a J_m or tau_limit that is not positive, PI
+    gains that are not finite, or a schedule whose times or values are not
+    finite.
     """
 
     T_horizon: float = 2e-3
@@ -156,14 +158,14 @@ class Scenario:
             raise ValueError("k_p and k_i must be finite")
         if not 0 <= self.current_margin < math.inf:
             raise ValueError("current_margin must be finite and nonnegative")
-        for sched in (self.speed_setpoints, self.load_torque):
+        for name in ("speed_setpoints", "load_torque"):
+            sched = tuple((float(t), float(v)) for t, v in getattr(self, name))
+            if not np.isfinite(sched).all():
+                raise ValueError(f"{name} times and values must be finite")
             times = [t for t, _ in sched]
             if times != sorted(times) or (times and times[0] != 0.0):
                 raise ValueError("schedules must start at t=0 and be sorted")
-        object.__setattr__(self, "speed_setpoints",
-                           tuple((float(t), float(v)) for t, v in self.speed_setpoints))
-        object.__setattr__(self, "load_torque",
-                           tuple((float(t), float(v)) for t, v in self.load_torque))
+            object.__setattr__(self, name, sched)
 
 
 def _schedule_value(schedule, t):

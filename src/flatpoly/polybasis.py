@@ -63,7 +63,7 @@ class BasisSpec:
         If N < max(r), so some output cannot meet its initial conditions
         while keeping a free coefficient.
     DegreeOutOfRange
-        If N is outside 1..15.
+        If N is not an integer in 1..15.
     """
 
     degree: int
@@ -71,9 +71,13 @@ class BasisSpec:
     r: tuple
 
     def __post_init__(self):
+        if not (float(self.degree).is_integer()
+                and 1 <= self.degree <= MAX_DEGREE):
+            raise DegreeOutOfRange(
+                f"degree must be an integer in 1..{MAX_DEGREE}, "
+                f"got {self.degree}"
+            )
         N = int(self.degree)
-        if not 1 <= N <= MAX_DEGREE:
-            raise DegreeOutOfRange(f"degree must be in 1..{MAX_DEGREE}, got {N}")
         r = tuple(int(ri) for ri in self.r)
         if N < max(r):
             raise DegreeTooLow(

@@ -18,13 +18,18 @@ back to Bland's rule after a degenerate stretch so cycling stays
 impossible), and maps the vertex back.  Its quadratic cost exceeds the QP
 cost by at most a factor tied to the parameter count, which
 suboptimality_report checks.  Given the optimal basis of a previous
-solve, e.g. the previous receding-horizon step's, solve_lp first checks
-once whether that basis is still optimal: its vertex is primal feasible
-(every basic value >= -1e-12 max(1, |h|_inf)) and dual feasible (every
-reduced cost >= -1e-9, the simplex's own stopping test).  If so, that
-vertex is the answer, after 0 iterations; if not, or if the basis no
-longer maps onto the rows, the cold two-phase simplex runs unchanged.
-There is no pivoting from a warm basis.
+solve, e.g. the previous receding-horizon step's, solve_lp runs a dual
+simplex from it.  The basis must stay dual feasible (every reduced cost
+>= -1e-9, the simplex's own stopping test); reduced costs do not depend
+on h, so a basis for the same rows with another h always is.  While a
+basic value is below -1e-12 max(1, |h|_inf), the most negative one
+leaves and the ratio test keeps the reduced costs nonnegative; once
+none is, the vertex is optimal.  A basis that is still optimal is
+accepted after 0 pivots.  A basis that no longer maps onto the rows or
+is not dual feasible, and a dual loop that stalls (no entering column,
+the pivot cap, a non-finite tableau, lost dual feasibility), hand the
+instance to the cold two-phase simplex, whose verdict stands; only it
+reports a status other than 'optimal'.
 
 Both solvers normalize each constraint row to unit gradient norm first; a
 row with no gradient is a constant, and one violated by more than
@@ -76,10 +81,15 @@ class SolveResult:
     constraint rows (original indexing) tight at the solution; duals holds
     the corresponding multipliers for the unit-norm scaled rows.
 
-    basis is solve_lp's optimal basis, which its warm_start accepts: one
+    basis is solve_lp's optimal basis, which its warm_start takes: one
     column per kept row, by identity and in original row indexing (j for
     fp_j, n_free + j for fn_j, 2 n_free + r for the slack of row r),
-    sorted.  It is None for the other solvers and for non-optimal solves.
+    sorted.  Re-solving the same rows from it takes 0 pivots, and the
+    same rows with another h start the dual simplex from it.  It is None
+    for the other solvers and for non-optimal solves.
+
+    iterations counts simplex pivots: the dual pivots from a warm basis
+    plus, if the dual loop handed over, the cold two-phase pivots.
     """
 
     alpha: np.ndarray
@@ -249,9 +259,9 @@ def solve_qp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
 
     seed = []
     if warm_start is not None:
-        orig_to_scaled = {int(o): s for s, o in enumerate(kept)}
-        seed = [orig_to_scaled[int(r)] for r in warm_start
-                if int(r) in orig_to_scaled]
+        rows = np.fromiter(warm_start, dtype=int)
+        pos = np.searchsorted(kept, rows)
+        seed = pos[kept.take(pos, mode="clip") == rows].tolist()
     status, f, active, u, iters = _dual_active_set(Gn, hn, max_iter, seed)
     if status != "optimal":
         return SolveResult(
@@ -327,20 +337,21 @@ def _simplex(tableau, basis, cost_row, max_iter, iters):
 
 
 def _warm_vertex(Gn, hn, kept, n_rows, basis):
-    """The vertex of a given basis if that basis is optimal for these rows.
+    """The vertex of a given basis if that basis is dual feasible here.
 
     basis is in SolveResult.basis form.  Of its M columns, s <= n come
     from fp and fn and the rest are slacks, so the s rows whose slack is
     nonbasic hold B v = hn with B the s x s block of the basic fp, fn
     columns; v gives the vertex f, and B' y = 1 the duals y of those rows
-    (the other rows' duals are zero).  The basis is optimal when every
-    basic value is >= -1e-12 max(1, |hn|_inf) and every reduced cost is
-    >= -1e-9: 1 - Gn' y for fp, 1 + Gn' y for fn and -y for a slack.
+    (the other rows' duals are zero).  The basis is dual feasible when
+    every reduced cost is >= -1e-9: 1 - Gn' y for fp, 1 + Gn' y for fn
+    and -y for a slack; it is also primal feasible, hence optimal, when
+    every basic value is >= -1e-12 max(1, |hn|_inf).
 
-    Returns (f, sorted basis tuple), or None when the basis is not optimal
-    here or does not map onto these rows: wrong length, a duplicated or
-    out-of-range column, the slack of a row that _scaled_rows dropped, or
-    a singular or non-finite block.
+    Returns (f, sorted basis tuple, primal feasible), or None when the
+    basis is not dual feasible here or does not map onto these rows: wrong
+    length, a duplicated or out-of-range column, the slack of a row that
+    _scaled_rows dropped, or a singular or non-finite block.
     """
     M, n = Gn.shape
     b = np.asarray(basis)
@@ -365,6 +376,7 @@ def _warm_vertex(Gn, hn, kept, n_rows, basis):
     tol = 1e-12 * max(1.0, np.abs(hn).max())
     f = np.zeros(n)
     y = np.zeros(s)
+    primal = True
     if s:
         B = Gt[:, np.concatenate([fp, fn])]
         B[:, n_fp:] *= -1.0
@@ -375,15 +387,80 @@ def _warm_vertex(Gn, hn, kept, n_rows, basis):
         y, _ = scipy.linalg.lapack.dgetrs(lu, piv, np.ones(s), trans=1)
         if not (np.isfinite(v).all() and np.isfinite(y).all()):
             return None
-        if (v < -tol).any():
-            return None
+        primal = not (v < -tol).any()
         f[fp] = v[:n_fp]
         f[fn] = -v[n_fp:]
-    if (Gn[basic_slack] @ f - hn[basic_slack] > tol).any():
-        return None
     if (y > 1e-9).any() or (1.0 - np.abs(y @ Gt) < -1e-9).any():
         return None
-    return f, tuple(b.tolist())
+    primal = primal and not (
+        Gn[basic_slack] @ f - hn[basic_slack] > tol).any()
+    return f, tuple(b.tolist()), primal
+
+
+def _dual_simplex(Gn, hn, kept, basis, max_iter):
+    """Dual pivots from a dual feasible basis until it is primal feasible.
+
+    basis is a sorted SolveResult.basis that _warm_vertex accepted.  The
+    tableau B^-1 [A | hn] of the standard form [Gn, -Gn, I] v = hn is
+    built once, from B's s x s block.  Each pivot takes out the row of
+    the most negative basic value (smallest column on ties) and brings in
+    the column of minimum ratio d_j / -a_rj over a_rj < -1e-11 (smallest
+    column on near-ties), which keeps every reduced cost d_j >= 0.  After
+    a run of dual-degenerate pivots (ratio zero) the leaving row is the
+    infeasible one of smallest column until progress resumes: Bland's
+    rule in dual form, which rules out cycling as in _simplex.
+
+    Returns (basis, pivots) with basis in SolveResult.basis form once
+    every basic value is >= -1e-12 max(1, |hn|_inf), or None in its place
+    when no column can enter, max_iter pivots were not enough, the tableau
+    is not finite or a reduced cost falls below -1e-9.  The loop never
+    declares infeasibility; the caller hands such instances to the cold
+    simplex.
+    """
+    M, n = Gn.shape
+    b = np.asarray(basis)
+    s = np.searchsorted(b, 2 * n)
+    slack_rows = np.searchsorted(kept, b[s:] - 2 * n)
+    cols = np.concatenate([b[:s], 2 * n + slack_rows])
+    # B^-1 [A | hn] by blocks: the s rows whose slack is nonbasic give
+    # the basic fp, fn rows through the s x s block; each basic slack row
+    # is its own row of [A | hn] less what the basic fp, fn columns take.
+    full = np.hstack([Gn, -Gn, np.eye(M), hn[:, None]])
+    tight = np.ones(M, dtype=bool)
+    tight[slack_rows] = False
+    top = np.linalg.solve(full[tight][:, b[:s]], full[tight])
+    rest = full[slack_rows]
+    tableau = np.vstack([top, rest - rest[:, b[:s]] @ top])
+    cost = np.zeros(2 * n + M)
+    cost[: 2 * n] = 1.0
+    tol = 1e-12 * max(1.0, np.abs(hn).max())
+    pivots = degenerate_streak = 0
+    while np.isfinite(tableau).all():
+        red = cost - cost[cols] @ tableau[:, :-1]
+        if red.min() < -1e-9:
+            break
+        rhs = tableau[:, -1]
+        infeasible = np.flatnonzero(rhs < -tol)
+        if infeasible.size == 0:
+            slack = cols >= 2 * n
+            cols[slack] = 2 * n + kept[cols[slack] - 2 * n]
+            return tuple(np.sort(cols).tolist()), pivots
+        if degenerate_streak < 8:  # most negative value
+            pick = np.lexsort((cols[infeasible], rhs[infeasible]))[0]
+        else:  # Bland: smallest column
+            pick = np.argmin(cols[infeasible])
+        leave = int(infeasible[pick])
+        row = tableau[leave, :-1]
+        candidates = np.flatnonzero(row < -1e-11)
+        if candidates.size == 0 or pivots == max_iter:
+            break
+        ratios = np.maximum(red[candidates], 0.0) / -row[candidates]
+        pick = int(np.argmax(ratios <= ratios.min() + 1e-12))
+        degenerate_streak = degenerate_streak + 1 if ratios[pick] <= 1e-12 else 0
+        _pivot(tableau, leave, int(candidates[pick]))
+        cols[leave] = candidates[pick]
+        pivots += 1
+    return None, pivots
 
 
 def solve_lp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
@@ -393,21 +470,24 @@ def solve_lp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
     Each coordinate is split as f_i = fp_i - fn_i with both parts
     nonnegative and the coordinate sum of the parts is minimized, subject
     to the same rows.  At a simplex vertex at most one of fp_i, fn_i is
-    basic, so the split is exact.  Solved by a two-phase dense primal
-    simplex: steepest reduced cost, falling back to Bland's rule after a
-    degenerate stretch (anti-cycling, deterministic).
+    basic, so the split is exact.  Solved cold by a two-phase dense
+    primal simplex: steepest reduced cost, falling back to Bland's rule
+    after a degenerate stretch (anti-cycling, deterministic).  From a warm
+    basis, by a dense dual simplex (module docstring).
 
     Parameters
     ----------
     max_iter : int, optional
-        Cap on simplex pivots over both phases; defaults to 10 times the
-        column count of the standard form.
+        Cap on the dual pivots, and separately on the cold pivots over
+        both phases; defaults to 10 times the column count of the
+        standard form.
     warm_start : sequence of int, optional
         A basis in SolveResult.basis form, e.g. the previous
-        receding-horizon step's.  If it maps onto these rows and is
-        primal and dual feasible for them (module docstring), its vertex
-        is returned after 0 iterations; otherwise the cold two-phase
-        simplex runs as without it.
+        receding-horizon step's.  If it maps onto these rows and is dual
+        feasible for them, dual simplex pivots (0 if it is still optimal)
+        take it to an optimal basis, whose vertex is returned.  Otherwise,
+        or if the dual loop stalls, the cold two-phase simplex runs as
+        without it, and iterations includes the dual pivots made.
 
     Returns
     -------
@@ -426,12 +506,19 @@ def solve_lp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
             iterations=0, solver="lp", active_rows=(), status="optimal",
             duals=np.zeros(0),
         )
-    if warm_start is not None:
-        warm = _warm_vertex(Gn, hn, kept, ldp.G.shape[0], warm_start)
-        if warm is not None:
-            return _lp_result(ldp, Gn, hn, kept, warm[0], 0, warm[1])
     if max_iter is None:
         max_iter = 10 * (M + 2 * n)
+    dual_pivots = 0
+    if warm_start is not None:
+        n_rows = ldp.G.shape[0]
+        warm = _warm_vertex(Gn, hn, kept, n_rows, warm_start)
+        if warm is not None and not warm[2]:
+            basis, dual_pivots = _dual_simplex(Gn, hn, kept, warm[1], max_iter)
+            warm = (None if basis is None
+                    else _warm_vertex(Gn, hn, kept, n_rows, basis))
+        if warm is not None and warm[2]:
+            return _lp_result(ldp, Gn, hn, kept, warm[0], dual_pivots,
+                              warm[1])
 
     # Standard form: [Gn, -Gn] v + s = hn, v >= 0, s >= 0.
     A = np.hstack([Gn, -Gn, np.eye(M)])
@@ -455,7 +542,10 @@ def solve_lp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
     for a, i in enumerate(art_rows):
         basis[i] = n_struct + a
 
-    iters = 0
+    # After dual pivots that did not finish, the cold solve still gets
+    # max_iter pivots of its own; iterations counts both.
+    max_iter += dual_pivots
+    iters = dual_pivots
     if n_art:
         phase1 = np.zeros(n_cols)
         phase1[n_struct:] = 1.0

@@ -130,8 +130,11 @@ def test_solve_missing_file_exits_two(tmp_path, capsys):
 def test_solve_bad_json_exits_two(tmp_path, capsys):
     null_horizon = model_doc()
     null_horizon["cost"]["T"] = None
+    fractional_degree = model_doc()
+    fractional_degree["basis"]["N"] = 5.9
     bad = tmp_path / "model.json"
-    for text in ("{not json", "[]", json.dumps(null_horizon)):
+    for text in ("{not json", "[]", json.dumps(null_horizon),
+                 json.dumps(fractional_degree)):
         bad.write_text(text)
         rc = cli.main(["solve", "--model", str(bad),
                        "--out", str(tmp_path / "sol.json")])
@@ -208,6 +211,11 @@ def test_simulate_pmsm_unknown_key_exits_two(tmp_path, capsys):
     pytest.param({"machine": [8.0]}, id="machine-not-an-object"),
     pytest.param({"machine": {"I_maxx": 8.0}}, id="unknown-machine-key"),
     pytest.param({"duration": float("inf")}, id="infinite-duration"),
+    pytest.param({"speed_setpoints": [[0.0, 1e999]]}, id="infinite-setpoint"),
+    pytest.param({"load_torque": [[0.0, 0.0], [0.07, float("nan")]]},
+                 id="nan-load-torque"),
+    pytest.param({"N": 5.5}, id="non-integral-degree"),
+    pytest.param({"machine": {"n_p": 2.5}}, id="non-integral-pole-pairs"),
 ])
 def test_simulate_pmsm_malformed_scenario_exits_two(tmp_path, capsys, doc):
     scenario = write_json(tmp_path / "scn.json", doc)

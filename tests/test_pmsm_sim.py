@@ -334,6 +334,23 @@ def test_scenario_rejects_bad_scalars():
     Scenario(b=0.0, current_margin=0.0, k_p=0.0, k_i=0.0)
 
 
+def test_non_integral_and_non_finite_inputs_rejected():
+    # int() would truncate degree 5.5 to 5 and 2.5 pole pairs to 2; an
+    # infinite setpoint would run and a NaN load fail in the plant.
+    with pytest.raises(DegreeOutOfRange):
+        _Planner(PmsmParams(), Scenario(degree=5.5))
+    for value in (2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="n_p"):
+            PmsmParams(n_p=value)
+    PmsmParams(n_p=2.0)
+    bad = (((0.0, math.inf),), ((0.0, 1.0), (0.05, math.nan)),
+           ((0.0, 1.0), (math.inf, 2.0)))
+    for field in ("speed_setpoints", "load_torque"):
+        for schedule in bad:
+            with pytest.raises(ValueError, match=field):
+                Scenario(**{field: schedule})
+
+
 def test_trace_row_consistency(default_traces):
     p = PmsmParams()
     c = torque_constant(p)
@@ -462,11 +479,13 @@ def test_closed_loop_matches_public_pipeline(monkeypatch, kind):
 
 
 def test_lp_loop_warm_start_matches_cold_loop(monkeypatch, default_traces):
-    # The stock LP loop reuses the previous step's basis at most steps
-    # and gives the trace that solving every step cold gives.
+    # The stock LP loop reuses the previous step's basis at most steps,
+    # takes a few dual pivots from it at the others, and gives the trace
+    # that solving every step cold gives.
     warm = default_traces["lp"]
     assert all(r.status == "optimal" for r in warm)
     assert sum(r.iterations == 0 for r in warm) >= 1100
+    assert max(r.iterations for r in warm[1:]) <= 10
     monkeypatch.setattr(pmsm_sim, "solve_lp",
                         lambda ldp, warm_start=None: solve_lp(ldp))
     cold = run_closed_loop(default_traces["scenario"], "lp")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,13 @@ def to_time_poly(coef_scaled, T):
     """Convert scaled-basis coefficients c_j (t/T)^j to a plain polynomial."""
     j = np.arange(len(coef_scaled))
     return np.polynomial.Polynomial(coef_scaled / T**j)
+
+
+def test_basis_spec_rejects_non_integral_degree():
+    for degree in (5.5, 5.9, math.inf, math.nan):
+        with pytest.raises(DegreeOutOfRange, match="integer"):
+            BasisSpec(degree=degree, T=1.0, r=(1,))
+    assert BasisSpec(degree=5.0, T=1.0, r=(1,)).degree == 5
 
 
 def test_basis_spec_validation():

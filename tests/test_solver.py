@@ -30,18 +30,21 @@ def toy_ldp(G, h, n=None, c=0.0):
     )
 
 
-def random_feasible_ldp(rng, max_n=12, max_m=60, shape=None):
+def random_feasible_ldp(rng, max_n=12, max_m=60, shape=None, G=None):
     """Instance with a known feasible point f0 and mixed slack signs.
 
     shape = (M, n) fixes the row and parameter counts instead of drawing
-    them.
+    them; G fixes the rows themselves, so only h and c are drawn.
     """
-    if shape is None:
+    if G is not None:
+        M, n = G.shape
+    elif shape is None:
         n = int(rng.integers(2, max_n + 1))
         M = int(rng.integers(1, max_m + 1))
     else:
         M, n = shape
-    G = rng.standard_normal((M, n))
+    if G is None:
+        G = rng.standard_normal((M, n))
     f0 = rng.standard_normal(n) * rng.uniform(0.2, 1.5)
     slack = np.where(rng.random(M) < 0.4, 0.0, rng.random(M))
     h = G @ f0 + slack
@@ -282,6 +285,34 @@ def assert_same_as_cold(ldp, res):
         assert np.array_equal(res.f, cold.f)
 
 
+def lp_dual_feasible(ldp, basis):
+    """Whether every reduced cost of an LP basis is >= -1e-9.
+
+    Independent of solve_lp: the standard form [Gn, -Gn, I] of the
+    unit rows is built whole, for instances without constant rows.
+    """
+    Gn = ldp.G / np.linalg.norm(ldp.G, axis=1)[:, None]
+    M, n = Gn.shape
+    A = np.hstack([Gn, -Gn, np.eye(M)])
+    cost = np.concatenate([np.ones(2 * n), np.zeros(M)])
+    y = np.linalg.solve(A[:, list(basis)].T, cost[list(basis)])
+    return (cost - A.T @ y).min() >= -1e-9
+
+
+def assert_lp_optimum(ldp, res, cold):
+    """res is an LP optimum with cold's objective, and re-warms in 0 pivots."""
+    assert res.status == cold.status == "optimal"
+    l1 = np.abs(cold.f).sum()
+    assert abs(np.abs(res.f).sum() - l1) <= 1e-12 * max(1.0, l1)
+    norms = np.linalg.norm(ldp.G, axis=1)
+    assert ((ldp.G @ res.f - ldp.h) / norms).max() <= FEASIBILITY_TOL
+    # A warm solve computes its vertex from the final basis, the same way
+    # for 0 pivots as for more, so re-warming repeats it bit for bit.
+    again = solve_lp(ldp, warm_start=res.basis)
+    assert again.iterations == 0 and again.basis == res.basis
+    assert np.array_equal(again.f, res.f)
+
+
 def test_lp_warm_start_from_optimal_basis_takes_zero_iterations():
     rng = np.random.default_rng(101)
     for trial in range(40):
@@ -298,6 +329,9 @@ def test_lp_warm_start_from_optimal_basis_takes_zero_iterations():
 
 
 def test_lp_warm_start_from_stale_basis_solves_cold():
+    # A stale basis that is not dual feasible leaves the instance to the
+    # cold simplex; a dual feasible one is pivoted to the cold optimum,
+    # possibly at another basis of the same vertex.
     rng = np.random.default_rng(103)
     for trial in range(20):
         ldp, _ = random_feasible_ldp(rng, max_m=40)
@@ -306,7 +340,13 @@ def test_lp_warm_start_from_stale_basis_solves_cold():
         assert len(stale) == ldp.h.size
         res = solve_lp(ldp, warm_start=stale)
         assert res.iterations > 0, trial  # the stale basis was not optimal
-        assert_same_as_cold(ldp, res)
+        if not lp_dual_feasible(ldp, stale):
+            assert_same_as_cold(ldp, res)
+            continue
+        cold = solve_lp(ldp)
+        assert_lp_optimum(ldp, res, cold)
+        err = np.abs(res.f - cold.f).max()
+        assert err <= 1e-12 * max(1.0, np.abs(cold.f).max()), trial
 
 
 def test_lp_malformed_warm_start_solves_cold():
@@ -360,7 +400,56 @@ def test_lp_warm_start_on_infeasible_instance_stays_infeasible():
         bad = toy_ldp(G, h, c=ldp.c)
         res = solve_lp(bad, warm_start=basis)
         assert res.status == "infeasible", trial
-        assert_same_as_cold(bad, res)
+        if not lp_dual_feasible(bad, basis):
+            assert_same_as_cold(bad, res)
+            continue
+        # Dual pivots never declare infeasibility: the cold simplex does,
+        # and the count includes the dual pivots made before it.
+        cold = solve_lp(bad)
+        assert cold.status == "infeasible"
+        assert res.f is None and res.active_rows == () and res.basis is None
+        assert res.iterations >= cold.iterations, trial
+
+
+def test_lp_dual_simplex_from_basis_for_another_h():
+    # Reduced costs do not depend on h, so the optimal basis for one h is
+    # dual feasible for every other h with the same rows.
+    rng = np.random.default_rng(113)
+    warm_pivots, cold_pivots, pivoted = 0, 0, 0
+    for trial in range(40):
+        ldp, _ = random_feasible_ldp(rng)
+        basis = solve_lp(ldp).basis
+        new, _ = random_feasible_ldp(rng, G=ldp.G)
+        res = solve_lp(new, warm_start=basis)
+        cold = solve_lp(new)
+        assert_lp_optimum(new, res, cold)
+        warm_pivots += res.iterations
+        cold_pivots += cold.iterations
+        pivoted += res.iterations > 0
+    assert pivoted >= 30
+    assert warm_pivots < cold_pivots / 2
+
+
+def test_lp_dual_simplex_on_degenerate_rows():
+    # Repeated and parallel rows tie both ratio tests; the dual pivots
+    # must still end, at the cold objective.
+    rng = np.random.default_rng(127)
+    warm_pivots, cold_pivots, pivoted = 0, 0, 0
+    for trial in range(30):
+        ldp, _ = random_feasible_ldp(rng, max_n=6, max_m=10)
+        G = np.vstack([ldp.G, ldp.G, 2.5 * ldp.G])
+        basis = solve_lp(toy_ldp(G, np.concatenate([ldp.h, ldp.h,
+                                                    2.5 * ldp.h]))).basis
+        h = random_feasible_ldp(rng, G=ldp.G)[0].h
+        new = toy_ldp(G, np.concatenate([h, h, 2.5 * h]))
+        res = solve_lp(new, warm_start=basis)
+        cold = solve_lp(new)
+        assert_lp_optimum(new, res, cold)
+        warm_pivots += res.iterations
+        cold_pivots += cold.iterations
+        pivoted += res.iterations > 0
+    assert pivoted >= 20
+    assert warm_pivots < cold_pivots / 2
 
 
 def test_repeat_solves_bitwise_identical():
