@@ -289,7 +289,11 @@ def _scenario_from_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = _object(json.load(fh), "scenario")
     params = _from_json(PmsmParams, doc.pop("machine", {}), "machine")
-    doc = {("degree" if key == "N" else key): value for key, value in doc.items()}
+    if "N" in doc:
+        if "degree" in doc:
+            raise DimensionMismatch("scenario gives both 'N' and 'degree'")
+        doc["degree"] = _field(doc, "N", _integer)
+        del doc["N"]
     return _from_json(Scenario, doc, "scenario"), params
 
 

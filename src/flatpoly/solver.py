@@ -13,23 +13,24 @@ scaled rows, a bound that grows with h as rounding does.  The iteration
 count is one per add or drop.
 
 The linear path splits f into nonnegative parts, minimizes the coordinate
-sum with a dense two-phase primal simplex (steepest reduced cost, falling
-back to Bland's rule after a degenerate stretch so cycling stays
-impossible), and maps the vertex back.  Its quadratic cost exceeds the QP
-cost by at most a factor tied to the parameter count, which
-suboptimality_report checks.  Given the optimal basis of a previous
-solve, e.g. the previous receding-horizon step's, solve_lp runs a dual
-simplex from it.  The basis must stay dual feasible (every reduced cost
->= -1e-9, the simplex's own stopping test); reduced costs do not depend
-on h, so a basis for the same rows with another h always is.  While a
-basic value is below -1e-12 max(1, |h|_inf), the most negative one
-leaves and the ratio test keeps the reduced costs nonnegative; once
-none is, the vertex is optimal.  A basis that is still optimal is
-accepted after 0 pivots.  A basis that no longer maps onto the rows or
-is not dual feasible, and a dual loop that stalls (no entering column,
-the pivot cap, a non-finite tableau, lost dual feasibility), hand the
-instance to the cold two-phase simplex, whose verdict stands; only it
-reports a status other than 'optimal'.
+sum with a dense dual simplex (Lemke 1954) and maps the vertex back.  Its
+quadratic cost exceeds the QP cost by at most a factor tied to the
+parameter count, which suboptimality_report checks.  The dual simplex
+needs a dual feasible start (every reduced cost >= -1e-9, its own
+stopping test).  With f = 0 and every slack basic, each reduced cost is 1
+(fp, fn) or 0 (slacks), so this all-slack basis is one for every
+instance, and a cold solve starts there, as the QP starts from f = 0.
+Given the optimal basis of a previous solve, e.g. the previous
+receding-horizon step's, solve_lp starts from it instead when it maps
+onto the rows and is dual feasible; reduced costs do not depend on h, so
+a basis for the same rows with another h always is.  While a basic value
+is below -1e-12 max(1, |h|_inf), the most negative one leaves and the
+ratio test keeps the reduced costs nonnegative; once none is, the vertex
+is optimal.  A leaving row with no entry below -PIVOT_TOL is a Farkas row
+and certifies that no feasible f exists.  A basis that is still optimal
+is accepted after 0 pivots.  A warm start whose pivots stall (lost dual
+feasibility, a non-finite tableau, or a final basis that fails
+_warm_vertex's fresh check) restarts once from the slack basis.
 
 Both solvers normalize each constraint row to unit gradient norm first; a
 row with no gradient is a constant, and one violated by more than
@@ -72,6 +73,11 @@ ZERO_ROW_TOL = 1e-13
 #: A unit row closer than this to the span of the active rows depends on them.
 DEPENDENT_ROW_TOL = 1e-10
 
+#: The dual simplex pivots only on tableau entries below -PIVOT_TOL.  Pivots
+#: on entries down to -1e-11 grew the tableau to 1e13 on high-degree
+#: infeasible instances, which then lost dual feasibility.
+PIVOT_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -85,11 +91,13 @@ class SolveResult:
     column per kept row, by identity and in original row indexing (j for
     fp_j, n_free + j for fn_j, 2 n_free + r for the slack of row r),
     sorted.  Re-solving the same rows from it takes 0 pivots, and the
-    same rows with another h start the dual simplex from it.  It is None
-    for the other solvers and for non-optimal solves.
+    same rows with another h start the dual simplex from it in place of
+    the all-slack basis.  It is None for the other solvers and for
+    non-optimal solves.
 
-    iterations counts simplex pivots: the dual pivots from a warm basis
-    plus, if the dual loop handed over, the cold two-phase pivots.
+    iterations counts the add or drop steps of the QP and the pivots of
+    the LP's dual simplex, those of a warm start that stalled and
+    restarted from the slack basis included.
     """
 
     alpha: np.ndarray
@@ -287,55 +295,6 @@ def _pivot(tableau, leave, entering):
     tableau -= np.outer(factor, tableau[leave])
 
 
-def _simplex(tableau, basis, cost_row, max_iter, iters):
-    """Dense primal simplex on an equality tableau.
-
-    Pivoting is Dantzig's rule (most negative reduced cost, smallest index
-    on ties); after a run of degenerate pivots it falls back to Bland's
-    rule until progress resumes, which rules out cycling while keeping the
-    fast rule on the non-degenerate path.  Fully deterministic.
-
-    tableau: (M, n_cols+1) with the rhs in the last column and a feasible
-    basis; cost_row: length n_cols objective.  Mutates tableau/basis.
-    Returns (iters, status) with status in 'optimal' | 'iteration_limit';
-    raises FlatpolyError on unboundedness (malformed input, defensive).
-    """
-    n_cols = tableau.shape[1] - 1
-    degenerate_streak = 0
-    while True:
-        # Reduced costs for the current basis.
-        cb = cost_row[basis]
-        red = cost_row - cb @ tableau[:, :n_cols]
-        entering = -1
-        if degenerate_streak < 8:
-            j = int(np.argmin(red))
-            if red[j] < -1e-9:
-                entering = j
-        else:
-            eligible = np.flatnonzero(red < -1e-9)  # Bland: smallest index
-            if eligible.size:
-                entering = int(eligible[0])
-        if entering < 0:
-            return iters, "optimal"
-        iters += 1
-        if iters > max_iter:
-            return iters, "iteration_limit"
-        # Ratio test: minimum ratio, smallest basic index among near-ties.
-        col = tableau[:, entering]
-        rows = np.flatnonzero(col > 1e-11)
-        if rows.size == 0:
-            raise FlatpolyError(
-                "LP relaxation is unbounded; constraint rows are malformed"
-            )
-        ratios = tableau[rows, -1] / col[rows]
-        tied = np.flatnonzero(ratios <= ratios.min() + 1e-12)
-        pick = tied[np.argmin(basis[rows[tied]])]
-        leave = int(rows[pick])
-        degenerate_streak = degenerate_streak + 1 if ratios[pick] <= 1e-12 else 0
-        _pivot(tableau, leave, entering)
-        basis[leave] = entering
-
-
 def _warm_vertex(Gn, hn, kept, n_rows, basis):
     """The vertex of a given basis if that basis is dual feasible here.
 
@@ -397,40 +356,48 @@ def _warm_vertex(Gn, hn, kept, n_rows, basis):
     return f, tuple(b.tolist()), primal
 
 
-def _dual_simplex(Gn, hn, kept, basis, max_iter):
-    """Dual pivots from a dual feasible basis until it is primal feasible.
+def _dual_simplex(Gn, hn, kept, start_basis, max_iter):
+    """Dual simplex pivots from a dual feasible basis until it is optimal.
 
-    basis is a sorted SolveResult.basis that _warm_vertex accepted.  The
-    tableau B^-1 [A | hn] of the standard form [Gn, -Gn, I] v = hn is
-    built once, from B's s x s block.  Each pivot takes out the row of
-    the most negative basic value (smallest column on ties) and brings in
-    the column of minimum ratio d_j / -a_rj over a_rj < -1e-11 (smallest
-    column on near-ties), which keeps every reduced cost d_j >= 0.  After
-    a run of dual-degenerate pivots (ratio zero) the leaving row is the
-    infeasible one of smallest column until progress resumes: Bland's
-    rule in dual form, which rules out cycling as in _simplex.
+    start_basis is a sorted SolveResult.basis that _warm_vertex accepted,
+    or None for the all-slack basis.  The tableau B^-1 [A | hn] of the
+    standard form [Gn, -Gn, I] v = hn is built once: on the slack basis it
+    is [Gn, -Gn, I | hn] itself, otherwise it comes from B's s x s block.
+    Each pivot takes out the row of the most negative basic value
+    (smallest column on ties) and brings in the column of minimum ratio
+    d_j / -a_rj over a_rj < -PIVOT_TOL (smallest column on near-ties),
+    which keeps every reduced cost d_j >= 0.  After a run of
+    dual-degenerate pivots (ratio zero) the leaving row is the infeasible
+    one of smallest column until progress resumes: Bland's rule in dual
+    form, which rules out cycling.
 
-    Returns (basis, pivots) with basis in SolveResult.basis form once
-    every basic value is >= -1e-12 max(1, |hn|_inf), or None in its place
-    when no column can enter, max_iter pivots were not enough, the tableau
-    is not finite or a reduced cost falls below -1e-9.  The loop never
-    declares infeasibility; the caller hands such instances to the cold
-    simplex.
+    Returns (status, basis, pivots).  status is 'optimal' once every basic
+    value is >= -1e-12 max(1, |hn|_inf), with basis in SolveResult.basis
+    form; otherwise basis is None and status is 'infeasible' when the
+    leaving row has no entry below -PIVOT_TOL (its basic value is negative
+    however the nonbasic columns are raised), 'iteration_limit' after
+    max_iter pivots, 'lost_dual_feasibility' when a reduced cost falls
+    below -1e-9 or 'non_finite' when the tableau overflows.
     """
     M, n = Gn.shape
-    b = np.asarray(basis)
-    s = np.searchsorted(b, 2 * n)
-    slack_rows = np.searchsorted(kept, b[s:] - 2 * n)
-    cols = np.concatenate([b[:s], 2 * n + slack_rows])
-    # B^-1 [A | hn] by blocks: the s rows whose slack is nonbasic give
-    # the basic fp, fn rows through the s x s block; each basic slack row
-    # is its own row of [A | hn] less what the basic fp, fn columns take.
     full = np.hstack([Gn, -Gn, np.eye(M), hn[:, None]])
-    tight = np.ones(M, dtype=bool)
-    tight[slack_rows] = False
-    top = np.linalg.solve(full[tight][:, b[:s]], full[tight])
-    rest = full[slack_rows]
-    tableau = np.vstack([top, rest - rest[:, b[:s]] @ top])
+    if start_basis is None:
+        cols = 2 * n + np.arange(M)
+        tableau = full
+    else:
+        b = np.asarray(start_basis)
+        s = np.searchsorted(b, 2 * n)
+        slack_rows = np.searchsorted(kept, b[s:] - 2 * n)
+        cols = np.concatenate([b[:s], 2 * n + slack_rows])
+        # B^-1 [A | hn] by blocks: the s rows whose slack is nonbasic give
+        # the basic fp, fn rows through the s x s block; each basic slack
+        # row is its own row of [A | hn] less what the basic fp, fn columns
+        # take.
+        tight = np.ones(M, dtype=bool)
+        tight[slack_rows] = False
+        top = np.linalg.solve(full[tight][:, b[:s]], full[tight])
+        rest = full[slack_rows]
+        tableau = np.vstack([top, rest - rest[:, b[:s]] @ top])
     cost = np.zeros(2 * n + M)
     cost[: 2 * n] = 1.0
     tol = 1e-12 * max(1.0, np.abs(hn).max())
@@ -438,29 +405,31 @@ def _dual_simplex(Gn, hn, kept, basis, max_iter):
     while np.isfinite(tableau).all():
         red = cost - cost[cols] @ tableau[:, :-1]
         if red.min() < -1e-9:
-            break
+            return "lost_dual_feasibility", None, pivots
         rhs = tableau[:, -1]
         infeasible = np.flatnonzero(rhs < -tol)
         if infeasible.size == 0:
             slack = cols >= 2 * n
             cols[slack] = 2 * n + kept[cols[slack] - 2 * n]
-            return tuple(np.sort(cols).tolist()), pivots
+            return "optimal", tuple(np.sort(cols).tolist()), pivots
         if degenerate_streak < 8:  # most negative value
             pick = np.lexsort((cols[infeasible], rhs[infeasible]))[0]
         else:  # Bland: smallest column
             pick = np.argmin(cols[infeasible])
         leave = int(infeasible[pick])
         row = tableau[leave, :-1]
-        candidates = np.flatnonzero(row < -1e-11)
-        if candidates.size == 0 or pivots == max_iter:
-            break
+        candidates = np.flatnonzero(row < -PIVOT_TOL)
+        if candidates.size == 0:
+            return "infeasible", None, pivots
+        if pivots == max_iter:
+            return "iteration_limit", None, pivots
         ratios = np.maximum(red[candidates], 0.0) / -row[candidates]
         pick = int(np.argmax(ratios <= ratios.min() + 1e-12))
         degenerate_streak = degenerate_streak + 1 if ratios[pick] <= 1e-12 else 0
         _pivot(tableau, leave, int(candidates[pick]))
         cols[leave] = candidates[pick]
         pivots += 1
-    return None, pivots
+    return "non_finite", None, pivots
 
 
 def solve_lp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
@@ -470,29 +439,28 @@ def solve_lp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
     Each coordinate is split as f_i = fp_i - fn_i with both parts
     nonnegative and the coordinate sum of the parts is minimized, subject
     to the same rows.  At a simplex vertex at most one of fp_i, fn_i is
-    basic, so the split is exact.  Solved cold by a two-phase dense
-    primal simplex: steepest reduced cost, falling back to Bland's rule
-    after a degenerate stretch (anti-cycling, deterministic).  From a warm
-    basis, by a dense dual simplex (module docstring).
+    basic, so the split is exact.  Solved by the dense dual simplex of the
+    module docstring, from the all-slack basis or a warm basis.
 
     Parameters
     ----------
     max_iter : int, optional
-        Cap on the dual pivots, and separately on the cold pivots over
-        both phases; defaults to 10 times the column count of the
-        standard form.
+        Cap on all pivots of the solve, a stalled warm start's included;
+        defaults to 10 times the column count of the standard form.
     warm_start : sequence of int, optional
         A basis in SolveResult.basis form, e.g. the previous
         receding-horizon step's.  If it maps onto these rows and is dual
-        feasible for them, dual simplex pivots (0 if it is still optimal)
-        take it to an optimal basis, whose vertex is returned.  Otherwise,
-        or if the dual loop stalls, the cold two-phase simplex runs as
-        without it, and iterations includes the dual pivots made.
+        feasible for them, the dual simplex starts from it (0 pivots if
+        it is still optimal); otherwise from the all-slack basis.  If its
+        pivots stall, they restart once from the slack basis.
 
     Returns
     -------
     SolveResult with solver='lp'; on 'optimal', basis holds the optimal
-    basis for the next warm start.
+    basis for the next warm start.  A non-optimal status is 'infeasible',
+    'iteration_limit', or one that names why the pivots from the slack
+    basis stalled: 'lost_dual_feasibility', 'non_finite', or
+    'basis_check_failed' when _warm_vertex rejects the final basis.
     """
     n = ldp.n_free
     scaled = _scaled_rows(ldp.G, ldp.h)
@@ -508,92 +476,31 @@ def solve_lp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
         )
     if max_iter is None:
         max_iter = 10 * (M + 2 * n)
-    dual_pivots = 0
+    n_rows = ldp.G.shape[0]
+    starts = [None]  # the all-slack basis
     if warm_start is not None:
-        n_rows = ldp.G.shape[0]
         warm = _warm_vertex(Gn, hn, kept, n_rows, warm_start)
-        if warm is not None and not warm[2]:
-            basis, dual_pivots = _dual_simplex(Gn, hn, kept, warm[1], max_iter)
-            warm = (None if basis is None
-                    else _warm_vertex(Gn, hn, kept, n_rows, basis))
-        if warm is not None and warm[2]:
-            return _lp_result(ldp, Gn, hn, kept, warm[0], dual_pivots,
-                              warm[1])
-
-    # Standard form: [Gn, -Gn] v + s = hn, v >= 0, s >= 0.
-    A = np.hstack([Gn, -Gn, np.eye(M)])
-    rhs = hn.copy()
-    n_struct = 2 * n + M
-    neg = rhs < 0
-    A[neg] *= -1.0
-    rhs[neg] *= -1.0
-    art_rows = np.flatnonzero(neg)
-    n_art = art_rows.size
-    n_cols = n_struct + n_art
-    tableau = np.zeros((M, n_cols + 1))
-    tableau[:, :n_struct] = A
-    for a, i in enumerate(art_rows):
-        tableau[i, n_struct + a] = 1.0
-    tableau[:, -1] = rhs
-
-    basis = np.empty(M, dtype=int)
-    for i in range(M):
-        basis[i] = 2 * n + i  # slack of row i
-    for a, i in enumerate(art_rows):
-        basis[i] = n_struct + a
-
-    # After dual pivots that did not finish, the cold solve still gets
-    # max_iter pivots of its own; iterations counts both.
-    max_iter += dual_pivots
-    iters = dual_pivots
-    if n_art:
-        phase1 = np.zeros(n_cols)
-        phase1[n_struct:] = 1.0
-        iters, status = _simplex(tableau, basis, phase1, max_iter, iters)
-        if status != "optimal":
-            return SolveResult(
-                alpha=None, f=None, quadratic_cost=float("nan"),
-                iterations=iters, solver="lp", active_rows=(),
-                status="iteration_limit",
-            )
-        resid = float(phase1[basis] @ tableau[:, -1])
-        if resid > 1e-9 * max(1.0, np.abs(hn).max()):
-            return SolveResult(
-                alpha=None, f=None, quadratic_cost=float("nan"),
-                iterations=iters, solver="lp", active_rows=(),
-                status="infeasible",
-            )
-        # Pivot any artificial still basic (at zero) out of the basis.
-        for i in range(M):
-            if basis[i] >= n_struct:
-                row = tableau[i, :n_struct]
-                j = next((jj for jj in range(n_struct)
-                          if abs(row[jj]) > 1e-9), None)
-                if j is None:
-                    tableau[i] = 0.0  # redundant row
-                    continue
-                _pivot(tableau, i, j)
-                basis[i] = j
-        tableau = np.hstack([tableau[:, :n_struct], tableau[:, -1:]])
-        n_cols = n_struct
-
-    phase2 = np.zeros(n_cols)
-    phase2[: 2 * n] = 1.0
-    iters, status = _simplex(tableau, basis, phase2, max_iter, iters)
-    if status != "optimal":
-        return SolveResult(
-            alpha=None, f=None, quadratic_cost=float("nan"),
-            iterations=iters, solver="lp", active_rows=(),
-            status="iteration_limit",
-        )
-
-    v = np.zeros(n_cols)
-    v[basis] = tableau[:, -1]
-    f = v[:n] - v[n : 2 * n]
-    slack = basis >= 2 * n
-    basis[slack] = 2 * n + kept[basis[slack] - 2 * n]
-    return _lp_result(ldp, Gn, hn, kept, f, iters,
-                      tuple(np.sort(basis).tolist()))
+        if warm is not None:
+            if warm[2]:
+                return _lp_result(ldp, Gn, hn, kept, warm[0], 0, warm[1])
+            starts.insert(0, warm[1])
+    pivots = 0
+    for start in starts:
+        status, basis, used = _dual_simplex(Gn, hn, kept, start,
+                                            max_iter - pivots)
+        pivots += used
+        if status == "optimal":
+            vertex = _warm_vertex(Gn, hn, kept, n_rows, basis)
+            if vertex is not None and vertex[2]:
+                return _lp_result(ldp, Gn, hn, kept, vertex[0], pivots,
+                                  vertex[1])
+            status = "basis_check_failed"
+        if status in ("infeasible", "iteration_limit"):
+            break
+    return SolveResult(
+        alpha=None, f=None, quadratic_cost=float("nan"), iterations=pivots,
+        solver="lp", active_rows=(), status=status,
+    )
 
 
 def _lp_result(ldp, Gn, hn, kept, f, iters, basis):

@@ -215,6 +215,7 @@ def test_simulate_pmsm_unknown_key_exits_two(tmp_path, capsys):
     pytest.param({"load_torque": [[0.0, 0.0], [0.07, float("nan")]]},
                  id="nan-load-torque"),
     pytest.param({"N": 5.5}, id="non-integral-degree"),
+    pytest.param({"N": 5, "degree": 7}, id="degree-given-twice"),
     pytest.param({"machine": {"n_p": 2.5}}, id="non-integral-pole-pairs"),
 ])
 def test_simulate_pmsm_malformed_scenario_exits_two(tmp_path, capsys, doc):
@@ -224,6 +225,8 @@ def test_simulate_pmsm_malformed_scenario_exits_two(tmp_path, capsys, doc):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    if "N" in doc:  # the message names the file's own key
+        assert "'N'" in err[0]
 
 
 def test_simulate_pmsm_machine_override(tmp_path, capsys):
