@@ -30,11 +30,16 @@ is optimal.  A leaving row with no entry below -PIVOT_TOL is a Farkas row
 and certifies that no feasible f exists.  A basis that is still optimal
 is accepted after 0 pivots.  A warm start whose pivots stall (lost dual
 feasibility, a non-finite tableau, or a final basis that fails
-_warm_vertex's fresh check) restarts once from the slack basis.
+_warm_vertex's fresh check) restarts once from the slack basis, unless it
+was the slack basis.
 
 Both solvers normalize each constraint row to unit gradient norm first; a
 row with no gradient is a constant, and one violated by more than
-FEASIBILITY_TOL makes the instance infeasible.
+FEASIBILITY_TOL makes the instance infeasible.  A satisfied constant row
+is made the inert row 0 f <= 1, which no QP step or LP pivot can make
+active, remove or bring in, so both solvers answer in the caller's rows:
+active_rows, duals and basis index them, and the max_iter defaults count
+every row.
 """
 
 from __future__ import annotations
@@ -83,14 +88,15 @@ PIVOT_TOL = 1e-7
 class SolveResult:
     """Outcome of one solve.
 
-    alpha, f are None unless status is 'optimal'.  active_rows lists the
-    constraint rows (original indexing) tight at the solution; duals holds
-    the corresponding multipliers for the unit-norm scaled rows.
+    alpha, f are None unless status is 'optimal'.  Rows are the caller's
+    rows, constant ones included, which are never active.  active_rows
+    lists the constraint rows tight at the solution; duals holds the QP's
+    multipliers for the unit-norm scaled rows, one entry per row.
 
     basis is solve_lp's optimal basis, which its warm_start takes: one
-    column per kept row, by identity and in original row indexing (j for
-    fp_j, n_free + j for fn_j, 2 n_free + r for the slack of row r),
-    sorted.  Re-solving the same rows from it takes 0 pivots, and the
+    column per row, by identity (j for fp_j, n_free + j for fn_j,
+    2 n_free + r for the slack of row r, which is basic for a constant
+    row), sorted.  Re-solving the same rows from it takes 0 pivots, and the
     same rows with another h start the dual simplex from it in place of
     the all-slack basis.  It is None for the other solvers and for
     non-optimal solves.
@@ -131,47 +137,67 @@ def solve_unconstrained(pc: ParameterizedCost) -> SolveResult:
 
 
 def _scaled_rows(G, h):
-    """Normalize rows to unit gradient norm; separate constant rows.
+    """Normalize rows to unit gradient norm; make constant rows inert.
 
-    Returns (Gn, hn, kept) where kept maps scaled rows back to original
-    indices, or None in place of the triple when a constant row is violated
-    (the instance is infeasible regardless of f).
+    Returns (Gn, hn) in the caller's row order, or None when a constant row
+    is violated (the instance is infeasible regardless of f).  A satisfied
+    constant row becomes 0 f <= 1.
     """
     norms = np.linalg.norm(G, axis=1)
     scale = max(1.0, np.abs(G).max()) if G.size else 1.0
     zero = norms <= ZERO_ROW_TOL * scale
     if np.any(h[zero] < -FEASIBILITY_TOL):
         return None
-    kept = np.flatnonzero(~zero)
-    Gn = G[kept] / norms[kept, None]
-    hn = h[kept] / norms[kept]
-    return Gn, hn, kept
+    norms[zero] = np.inf
+    return G / norms[:, None], np.where(zero, 1.0, h / norms)
 
 
-def _infeasible(solver):
+def _solve(ldp, solver, core, max_iter, warm_start):
+    """Scale the rows, run a solver core on them and build the SolveResult.
+
+    core(Gn, hn, max_iter, warm_start) returns (status, f, iterations,
+    active_rows, duals, basis) for at least one row, with f None, no
+    active rows, duals or basis unless status is 'optimal'.
+    """
+    scaled = _scaled_rows(ldp.G, ldp.h)
+    if scaled is None:
+        out = "infeasible", None, 0, (), None, None
+    elif ldp.h.size == 0:
+        out = "optimal", np.zeros(ldp.n_free), 0, (), np.zeros(0), None
+    else:
+        out = core(*scaled, max_iter, warm_start)
+    status, f, iters, active, duals, basis = out
+    optimal = status == "optimal"
     return SolveResult(
-        alpha=None, f=None, quadratic_cost=float("nan"), iterations=0,
-        solver=solver, active_rows=(), status="infeasible",
+        alpha=ldp.alpha_from_f(f) if optimal else None, f=f,
+        quadratic_cost=float(f @ f + ldp.c) if optimal else float("nan"),
+        iterations=iters, solver=solver, active_rows=active, status=status,
+        duals=duals, basis=basis,
     )
 
 
-def _dual_active_set(Gn, hn, max_iter, seed):
+def _dual_active_set(Gn, hn, max_iter, warm_start):
     """min f'f over unit rows Gn f <= hn by Goldfarb and Idnani's dual method.
 
-    The active set starts from the seed rows, possibly none (duplicates and
-    rows in the span of earlier ones skipped, then rows of nonpositive
-    multiplier dropped, smallest index first).  Each iteration adds the most
-    violated row, or drops the active row whose multiplier reaches zero
-    first on the way there; ties go to the smallest row index.  After each
-    change one QR factorization of the active rows gives f and the
-    multipliers u of f'f/2 exactly: Gn_A f = hn_A and f = -Gn_A' u.
+    The active set starts from the warm-start rows, possibly none
+    (out-of-range indices, duplicates and rows in the span of earlier ones,
+    an inert row's zero gradient included, skipped, then rows of
+    nonpositive multiplier dropped, smallest index first).  Each iteration
+    adds the most violated row, or drops the active row whose multiplier
+    reaches zero first on the way there; ties go to the smallest row
+    index.  After each change one QR factorization of the active rows gives
+    f and the multipliers u of f'f/2 exactly: Gn_A f = hn_A and
+    f = -Gn_A' u.
 
-    Returns (status, f, active, u, iterations) with status 'optimal',
-    'infeasible' or 'iteration_limit'.
+    Returns _solve's core tuple with status 'optimal', 'infeasible' or
+    'iteration_limit'; duals are the multipliers 2 u of f'f, one per row.
     """
-    n = Gn.shape[1]
+    M, n = Gn.shape
+    if max_iter is None:
+        max_iter = 10 * M
     tol = 1e-12 * max(1.0, np.abs(hn).max())
-    active = sorted(set(seed))
+    rows = np.fromiter(() if warm_start is None else warm_start, dtype=int)
+    active = sorted(set(rows[(rows >= 0) & (rows < M)].tolist()))
     f, u = np.zeros(n), np.zeros(0)
     while active:
         Q, R = np.linalg.qr(Gn[active].T)
@@ -192,12 +218,14 @@ def _dual_active_set(Gn, hn, max_iter, seed):
         viol[active] = -np.inf
         p = int(np.argmax(viol))
         if viol[p] <= tol:
-            return "optimal", f, active, u, iters
+            mu = np.zeros(M)
+            mu[active] = 2.0 * u
+            return "optimal", f, iters, tuple(sorted(active)), mu, None
         u = np.append(u, 0.0)  # the multiplier of p grows from zero
         while True:
             iters += 1
             if iters > max_iter:
-                return "iteration_limit", None, (), None, iters
+                return "iteration_limit", None, iters, (), None, None
             k = len(active)
             Q, R = np.linalg.qr(Gn[active + [p]].T)
             if k < n and abs(R[k, k]) > DEPENDENT_ROW_TOL:
@@ -217,7 +245,7 @@ def _dual_active_set(Gn, hn, max_iter, seed):
                 r = _solve_upper(R[:k, :k], R[:k, k])
                 blocking = np.flatnonzero(r > DEPENDENT_ROW_TOL)
                 if blocking.size == 0:
-                    return "infeasible", None, (), None, iters
+                    return "infeasible", None, iters, (), None, None
                 ratios = u[blocking] / r[blocking]
                 step = np.append(-r, 1.0)
             j = np.lexsort((np.asarray(active)[blocking], ratios))[0]
@@ -241,50 +269,17 @@ def solve_qp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
     ----------
     max_iter : int, optional
         Cap on active-set changes (one per add or drop); defaults to 10
-        times the row count.
+        times the row count, constant rows included.
     warm_start : iterable of int, optional
-        Row indices (original indexing) expected active, e.g. from the
-        previous receding-horizon step; they are the starting active set.
+        Row indices expected active, e.g. from the previous
+        receding-horizon step; they are the starting active set.
 
     Returns
     -------
-    SolveResult with solver='qp'.
+    SolveResult with solver='qp'; duals holds mu, one entry per row (0
+    for a constant row).
     """
-    n = ldp.n_free
-    scaled = _scaled_rows(ldp.G, ldp.h)
-    if scaled is None:
-        return _infeasible("qp")
-    Gn, hn, kept = scaled
-    M = kept.size
-    if M == 0:
-        return SolveResult(
-            alpha=ldp.alpha0, f=np.zeros(n), quadratic_cost=ldp.c,
-            iterations=0, solver="qp", active_rows=(), status="optimal",
-            duals=np.zeros(0),
-        )
-    if max_iter is None:
-        max_iter = 10 * M
-
-    seed = []
-    if warm_start is not None:
-        rows = np.fromiter(warm_start, dtype=int)
-        pos = np.searchsorted(kept, rows)
-        seed = pos[kept.take(pos, mode="clip") == rows].tolist()
-    status, f, active, u, iters = _dual_active_set(Gn, hn, max_iter, seed)
-    if status != "optimal":
-        return SolveResult(
-            alpha=None, f=None, quadratic_cost=float("nan"),
-            iterations=iters, solver="qp", active_rows=(), status=status,
-        )
-    mu = np.zeros(M)
-    mu[active] = 2.0 * u
-    alpha = ldp.alpha_from_f(f)
-    return SolveResult(
-        alpha=alpha, f=f, quadratic_cost=float(f @ f + ldp.c),
-        iterations=iters, solver="qp",
-        active_rows=tuple(int(kept[i]) for i in sorted(active)),
-        status="optimal", duals=mu,
-    )
+    return _solve(ldp, "qp", _dual_active_set, max_iter, warm_start)
 
 
 def _pivot(tableau, leave, entering):
@@ -295,40 +290,45 @@ def _pivot(tableau, leave, entering):
     tableau -= np.outer(factor, tableau[leave])
 
 
-def _warm_vertex(Gn, hn, kept, n_rows, basis):
+#: A dual feasible basis: its vertex f, the sorted basis, whether it is
+#: primal feasible, and the LU factors of its fp, fn block (None when it
+#: has no fp, fn column, i.e. it is the all-slack basis).
+_Vertex = namedtuple("_Vertex", ["f", "basis", "primal", "lu"])
+
+
+def _warm_vertex(Gn, hn, basis):
     """The vertex of a given basis if that basis is dual feasible here.
 
-    basis is in SolveResult.basis form.  Of its M columns, s <= n come
-    from fp and fn and the rest are slacks, so the s rows whose slack is
-    nonbasic hold B v = hn with B the s x s block of the basic fp, fn
-    columns; v gives the vertex f, and B' y = 1 the duals y of those rows
-    (the other rows' duals are zero).  The basis is dual feasible when
-    every reduced cost is >= -1e-9: 1 - Gn' y for fp, 1 + Gn' y for fn
-    and -y for a slack; it is also primal feasible, hence optimal, when
-    every basic value is >= -1e-12 max(1, |hn|_inf).
+    basis is in SolveResult.basis form, one column per row.  Of its M
+    columns, s <= n come from fp and fn and the rest are slacks, so the s
+    rows whose slack is nonbasic hold B v = hn with B the s x s block of
+    the basic fp, fn columns; v gives the vertex f, and B' y = 1 the duals
+    y of those rows (the other rows' duals are zero).  The basis is dual
+    feasible when every reduced cost is >= -1e-9: 1 - Gn' y for fp,
+    1 + Gn' y for fn and -y for a slack; it is also primal feasible, hence
+    optimal, when every basic value is >= -1e-12 max(1, |hn|_inf).  A
+    constant row's slack is basic in every basis that passes: were it
+    nonbasic, its zero row would make B singular.
 
-    Returns (f, sorted basis tuple, primal feasible), or None when the
-    basis is not dual feasible here or does not map onto these rows: wrong
-    length, a duplicated or out-of-range column, the slack of a row that
-    _scaled_rows dropped, or a singular or non-finite block.
+    Returns a _Vertex, or None when the basis is not dual feasible here or
+    does not map onto these rows: wrong length, a duplicated or
+    out-of-range column, fp_j and fn_j both basic, or a singular or
+    non-finite block.
     """
     M, n = Gn.shape
     b = np.asarray(basis)
     if b.shape != (M,) or b.dtype.kind not in "iu":
         return None
     b = np.sort(b)
-    if b[0] < 0 or b[-1] >= 2 * n + n_rows or (b[1:] == b[:-1]).any():
+    if b[0] < 0 or b[-1] >= 2 * n + M or (b[1:] == b[:-1]).any():
         return None
     n_fp, s = np.searchsorted(b, (n, 2 * n))
     fp, fn = b[:n_fp], b[n_fp:s] - n
     basic_fp = np.zeros(n, dtype=bool)
     basic_fp[fp] = True
     if basic_fp[fn].any():
-        return None  # fp_j and fn_j are both basic: B is singular
-    rows = b[s:] - 2 * n
-    basic_slack = np.searchsorted(kept, rows)
-    if (kept.take(basic_slack, mode="clip") != rows).any():
-        return None  # the slack of a dropped row
+        return None
+    basic_slack = b[s:] - 2 * n
     tight = np.ones(M, dtype=bool)
     tight[basic_slack] = False
     Gt = Gn[tight]
@@ -336,14 +336,15 @@ def _warm_vertex(Gn, hn, kept, n_rows, basis):
     f = np.zeros(n)
     y = np.zeros(s)
     primal = True
+    lu = None
     if s:
         B = Gt[:, np.concatenate([fp, fn])]
         B[:, n_fp:] *= -1.0
-        lu, piv, info = scipy.linalg.lapack.dgetrf(B)
+        *lu, info = scipy.linalg.lapack.dgetrf(B)
         if info > 0:
             return None
-        v, _ = scipy.linalg.lapack.dgetrs(lu, piv, hn[tight])
-        y, _ = scipy.linalg.lapack.dgetrs(lu, piv, np.ones(s), trans=1)
+        v, _ = scipy.linalg.lapack.dgetrs(*lu, hn[tight])
+        y, _ = scipy.linalg.lapack.dgetrs(*lu, np.ones(s), trans=1)
         if not (np.isfinite(v).all() and np.isfinite(y).all()):
             return None
         primal = not (v < -tol).any()
@@ -353,23 +354,25 @@ def _warm_vertex(Gn, hn, kept, n_rows, basis):
         return None
     primal = primal and not (
         Gn[basic_slack] @ f - hn[basic_slack] > tol).any()
-    return f, tuple(b.tolist()), primal
+    return _Vertex(f, tuple(b.tolist()), primal, lu)
 
 
-def _dual_simplex(Gn, hn, kept, start_basis, max_iter):
+def _dual_simplex(Gn, hn, start, max_iter):
     """Dual simplex pivots from a dual feasible basis until it is optimal.
 
-    start_basis is a sorted SolveResult.basis that _warm_vertex accepted,
-    or None for the all-slack basis.  The tableau B^-1 [A | hn] of the
-    standard form [Gn, -Gn, I] v = hn is built once: on the slack basis it
-    is [Gn, -Gn, I | hn] itself, otherwise it comes from B's s x s block.
-    Each pivot takes out the row of the most negative basic value
-    (smallest column on ties) and brings in the column of minimum ratio
-    d_j / -a_rj over a_rj < -PIVOT_TOL (smallest column on near-ties),
-    which keeps every reduced cost d_j >= 0.  After a run of
-    dual-degenerate pivots (ratio zero) the leaving row is the infeasible
-    one of smallest column until progress resumes: Bland's rule in dual
-    form, which rules out cycling.
+    start is a _Vertex from _warm_vertex with an fp or fn column, or None
+    for the all-slack basis.  The tableau B^-1 [A | hn] of the standard
+    form [Gn, -Gn, I] v = hn is built once: on the slack basis it is
+    [Gn, -Gn, I | hn] itself, otherwise it comes from the LU factors of
+    B's s x s block that _warm_vertex computed.  Each pivot takes out the
+    row of the most negative basic value (smallest column on ties) and
+    brings in the column of minimum ratio d_j / -a_rj over a_rj < -PIVOT_TOL
+    (smallest column on near-ties), which keeps every reduced cost
+    d_j >= 0.  After a run of dual-degenerate pivots (ratio zero) the
+    leaving row is the infeasible one of smallest column until progress
+    resumes: Bland's rule in dual form, which rules out cycling.  A
+    constant row's basic value is 1 and its row of the tableau is its
+    slack's unit row, so it never leaves and its slack never enters.
 
     Returns (status, basis, pivots).  status is 'optimal' once every basic
     value is >= -1e-12 max(1, |hn|_inf), with basis in SolveResult.basis
@@ -381,23 +384,21 @@ def _dual_simplex(Gn, hn, kept, start_basis, max_iter):
     """
     M, n = Gn.shape
     full = np.hstack([Gn, -Gn, np.eye(M), hn[:, None]])
-    if start_basis is None:
+    if start is None:
         cols = 2 * n + np.arange(M)
         tableau = full
     else:
-        b = np.asarray(start_basis)
-        s = np.searchsorted(b, 2 * n)
-        slack_rows = np.searchsorted(kept, b[s:] - 2 * n)
-        cols = np.concatenate([b[:s], 2 * n + slack_rows])
+        cols = np.array(start.basis)
+        s = np.searchsorted(cols, 2 * n)
         # B^-1 [A | hn] by blocks: the s rows whose slack is nonbasic give
         # the basic fp, fn rows through the s x s block; each basic slack
         # row is its own row of [A | hn] less what the basic fp, fn columns
         # take.
         tight = np.ones(M, dtype=bool)
-        tight[slack_rows] = False
-        top = np.linalg.solve(full[tight][:, b[:s]], full[tight])
-        rest = full[slack_rows]
-        tableau = np.vstack([top, rest - rest[:, b[:s]] @ top])
+        tight[cols[s:] - 2 * n] = False
+        top, _ = scipy.linalg.lapack.dgetrs(*start.lu, full[tight])
+        rest = full[~tight]
+        tableau = np.vstack([top, rest - rest[:, cols[:s]] @ top])
     cost = np.zeros(2 * n + M)
     cost[: 2 * n] = 1.0
     tol = 1e-12 * max(1.0, np.abs(hn).max())
@@ -409,8 +410,6 @@ def _dual_simplex(Gn, hn, kept, start_basis, max_iter):
         rhs = tableau[:, -1]
         infeasible = np.flatnonzero(rhs < -tol)
         if infeasible.size == 0:
-            slack = cols >= 2 * n
-            cols[slack] = 2 * n + kept[cols[slack] - 2 * n]
             return "optimal", tuple(np.sort(cols).tolist()), pivots
         if degenerate_streak < 8:  # most negative value
             pick = np.lexsort((cols[infeasible], rhs[infeasible]))[0]
@@ -432,6 +431,31 @@ def _dual_simplex(Gn, hn, kept, start_basis, max_iter):
     return "non_finite", None, pivots
 
 
+def _simplex_lp(Gn, hn, max_iter, warm_start):
+    """solve_lp's core on the scaled rows; returns _solve's core tuple."""
+    M, n = Gn.shape
+    if max_iter is None:
+        max_iter = 10 * (M + 2 * n)
+    vertex = None if warm_start is None else _warm_vertex(Gn, hn, warm_start)
+    pivots = 0
+    if vertex is None or not vertex.primal:
+        # A warm basis without an fp, fn column is the slack basis itself.
+        for start in ([vertex] if vertex and vertex.lu else []) + [None]:
+            status, basis, used = _dual_simplex(Gn, hn, start,
+                                                max_iter - pivots)
+            pivots += used
+            vertex = _warm_vertex(Gn, hn, basis) if basis else None
+            if vertex is not None and vertex.primal:
+                break
+            if status == "optimal":
+                status = "basis_check_failed"
+            if status in ("infeasible", "iteration_limit") or start is None:
+                return status, None, pivots, (), None, None
+    active = np.flatnonzero(Gn @ vertex.f - hn >= -FEASIBILITY_TOL)
+    return ("optimal", vertex.f, pivots, tuple(active.tolist()), None,
+            vertex.basis)
+
+
 def solve_lp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
              ) -> SolveResult:
     """Approximate the least-distance problem through a linear program.
@@ -446,13 +470,15 @@ def solve_lp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
     ----------
     max_iter : int, optional
         Cap on all pivots of the solve, a stalled warm start's included;
-        defaults to 10 times the column count of the standard form.
+        defaults to 10 times the column count of the standard form, one
+        slack per row, constant rows included.
     warm_start : sequence of int, optional
         A basis in SolveResult.basis form, e.g. the previous
         receding-horizon step's.  If it maps onto these rows and is dual
         feasible for them, the dual simplex starts from it (0 pivots if
         it is still optimal); otherwise from the all-slack basis.  If its
-        pivots stall, they restart once from the slack basis.
+        pivots stall, they restart once from the slack basis, unless it
+        is the slack basis.
 
     Returns
     -------
@@ -462,59 +488,7 @@ def solve_lp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
     basis stalled: 'lost_dual_feasibility', 'non_finite', or
     'basis_check_failed' when _warm_vertex rejects the final basis.
     """
-    n = ldp.n_free
-    scaled = _scaled_rows(ldp.G, ldp.h)
-    if scaled is None:
-        return _infeasible("lp")
-    Gn, hn, kept = scaled
-    M = kept.size
-    if M == 0:
-        return SolveResult(
-            alpha=ldp.alpha0, f=np.zeros(n), quadratic_cost=ldp.c,
-            iterations=0, solver="lp", active_rows=(), status="optimal",
-            duals=np.zeros(0),
-        )
-    if max_iter is None:
-        max_iter = 10 * (M + 2 * n)
-    n_rows = ldp.G.shape[0]
-    starts = [None]  # the all-slack basis
-    if warm_start is not None:
-        warm = _warm_vertex(Gn, hn, kept, n_rows, warm_start)
-        if warm is not None:
-            if warm[2]:
-                return _lp_result(ldp, Gn, hn, kept, warm[0], 0, warm[1])
-            starts.insert(0, warm[1])
-    pivots = 0
-    for start in starts:
-        status, basis, used = _dual_simplex(Gn, hn, kept, start,
-                                            max_iter - pivots)
-        pivots += used
-        if status == "optimal":
-            vertex = _warm_vertex(Gn, hn, kept, n_rows, basis)
-            if vertex is not None and vertex[2]:
-                return _lp_result(ldp, Gn, hn, kept, vertex[0], pivots,
-                                  vertex[1])
-            status = "basis_check_failed"
-        if status in ("infeasible", "iteration_limit"):
-            break
-    return SolveResult(
-        alpha=None, f=None, quadratic_cost=float("nan"), iterations=pivots,
-        solver="lp", active_rows=(), status=status,
-    )
-
-
-def _lp_result(ldp, Gn, hn, kept, f, iters, basis):
-    """The optimal SolveResult of solve_lp at the vertex f."""
-    slack_vals = Gn @ f - hn
-    active = tuple(int(kept[i]) for i in np.flatnonzero(
-        slack_vals >= -FEASIBILITY_TOL
-    ))
-    alpha = ldp.alpha_from_f(f)
-    return SolveResult(
-        alpha=alpha, f=f, quadratic_cost=float(f @ f + ldp.c),
-        iterations=iters, solver="lp", active_rows=active,
-        status="optimal", basis=basis,
-    )
+    return _solve(ldp, "lp", _simplex_lp, max_iter, warm_start)
 
 
 def suboptimality_report(qp: SolveResult, lp: SolveResult,

@@ -254,6 +254,64 @@ def test_satisfied_constant_row_is_dropped():
     assert res.active_rows == (1,)
 
 
+def with_constant_rows(rng, ldp, count=3):
+    """ldp with satisfied constant rows inserted at random places.
+
+    Returns (padded, rows, at): rows[i] is the padded index of ldp's row i
+    and at the constant rows' indices.  One constant row carries a
+    gradient too small to count.
+    """
+    M, n = ldp.G.shape
+    at = np.sort(rng.choice(M + count, count, replace=False))
+    rows = np.setdiff1d(np.arange(M + count), at)
+    G, h = np.zeros((M + count, n)), np.zeros(M + count)
+    G[rows], h[rows] = ldp.G, ldp.h
+    G[at[0]] = 1e-15 * rng.standard_normal(n)
+    h[at] = rng.uniform(0.0, 2.0, count)
+    return toy_ldp(G, h, c=ldp.c), rows, at
+
+
+def padded_basis(basis, n, rows, at):
+    """An LP basis of ldp in with_constant_rows' padded indexing."""
+    cols = [j if j < 2 * n else 2 * n + int(rows[j - 2 * n]) for j in basis]
+    return tuple(sorted(cols + [2 * n + int(r) for r in at]))
+
+
+def test_constant_rows_are_inert():
+    # A satisfied constant row is 0 f <= 1 to both solvers: no step or
+    # pivot changes, and the answers come back in the caller's rows, with
+    # the constant row's slack basic and its multiplier 0.
+    rng = np.random.default_rng(139)
+    for trial in range(30):
+        ldp, _ = random_feasible_ldp(rng, max_m=40)
+        padded, rows, at = with_constant_rows(rng, ldp)
+        n = ldp.n_free
+        new, _ = random_feasible_ldp(rng, G=ldp.G)
+        new_padded = toy_ldp(padded.G, padded.h.copy(), c=new.c)
+        new_padded.h[rows] = new.h
+        qp, lp = solve_qp(ldp), solve_lp(ldp)
+        runs = [
+            (qp, solve_qp(padded)),
+            (solve_qp(ldp, warm_start=qp.active_rows),
+             solve_qp(padded, warm_start=list(rows[list(qp.active_rows)])
+                      + list(at))),
+            (lp, solve_lp(padded)),
+            (solve_lp(new, warm_start=lp.basis),
+             solve_lp(new_padded, warm_start=padded_basis(lp.basis, n, rows,
+                                                          at))),
+        ]
+        for k, (a, b) in enumerate(runs):
+            assert (a.status, a.iterations) == (b.status, b.iterations), k
+            assert a.status == "optimal", (trial, k)
+            assert np.array_equal(a.f, b.f), (trial, k)
+            assert b.active_rows == tuple(rows[list(a.active_rows)]), k
+            if a.solver == "qp":
+                assert np.array_equal(b.duals[rows], a.duals)
+                assert not b.duals[at].any()
+            else:
+                assert b.basis == padded_basis(a.basis, n, rows, at), k
+
+
 def test_warm_start_resolves_in_zero_iterations():
     rng = np.random.default_rng(89)
     ldp, _ = random_feasible_ldp(rng, max_n=6, max_m=30)
@@ -410,22 +468,23 @@ def test_lp_malformed_warm_start_solves_cold():
 
 
 def test_lp_warm_start_unusable_basis_solves_cold():
-    # Row 0 is a constant that _scaled_rows drops, so its slack cannot
-    # be basic; fp_0 and fn_0 together make a singular block.
+    # Row 0 is a constant, made the inert row 0 f <= 1: a basis that makes
+    # it tight has a zero row in its block.  fp_0 and fn_0 together make a
+    # singular block too.
     ldp = toy_ldp([[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
                   [1.0, -1.0, -1.0, 5.0])
     cold = solve_lp(ldp)
     assert cold.status == "optimal" and cold.iterations > 0
-    for bad in ([4, 5, 6], [0, 2, 7]):
+    for bad in ([0, 5, 6, 7], [0, 2, 4, 7]):
         assert_same_as_cold(ldp, solve_lp(ldp, warm_start=bad))
     warm = solve_lp(ldp, warm_start=cold.basis)
     assert warm.iterations == 0
     np.testing.assert_allclose(warm.f, [1.0, 1.0], atol=1e-15)
-    # f = 0 is optimal here, with the slacks of rows 1 and 2 basic; the
-    # slack of the dropped row 0 cannot stand in for either.
+    # f = 0 is optimal here, with every slack basic; fp_0 cannot stand in
+    # for the constant row 0's slack.
     ldp = toy_ldp([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1.0, 1.0, 1.0])
-    assert solve_lp(ldp).basis == (5, 6)
-    for bad in ([4, 6], [4, 5]):
+    assert solve_lp(ldp).basis == (4, 5, 6)
+    for bad in ([0, 5, 6], [0, 2, 4]):
         assert_same_as_cold(ldp, solve_lp(ldp, warm_start=bad))
 
 
@@ -518,6 +577,21 @@ def test_lp_slack_start_stall_is_named(monkeypatch):
     assert res.iterations > 0
 
 
+def test_lp_slack_warm_start_is_not_restarted(monkeypatch):
+    # The seed-1 rows less their two constant rows stall from the slack
+    # basis with PIVOT_TOL at 1e-11.  A warm start that is the slack basis
+    # stalls the same way, once: a restart from it would repeat its pivots.
+    monkeypatch.setattr(solver_module, "PIVOT_TOL", 1e-11)
+    rows = benchmark_rows("plan_solve_seed1_op1147_ldp.json")
+    keep = np.linalg.norm(rows.G, axis=1) > 0.0
+    ldp = toy_ldp(rows.G[keep], rows.h[keep])
+    M, n = ldp.G.shape
+    cold = solve_lp(ldp)
+    assert (cold.status, cold.iterations) == ("lost_dual_feasibility", 76)
+    warm = solve_lp(ldp, warm_start=range(2 * n, 2 * n + M))
+    assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
+
+
 def test_lp_stalled_warm_start_restarts_from_slack_basis(monkeypatch):
     rng = np.random.default_rng(113)
     ldp, _ = random_feasible_ldp(rng)
@@ -527,9 +601,9 @@ def test_lp_stalled_warm_start_restarts_from_slack_basis(monkeypatch):
     cold = solve_lp(new)
     dual_simplex = solver_module._dual_simplex
 
-    def stalls_when_warm(Gn, hn, kept, start_basis, max_iter):
-        if start_basis is None:
-            return dual_simplex(Gn, hn, kept, start_basis, max_iter)
+    def stalls_when_warm(Gn, hn, start, max_iter):
+        if start is None:
+            return dual_simplex(Gn, hn, start, max_iter)
         return "non_finite", None, 3
 
     monkeypatch.setattr(solver_module, "_dual_simplex", stalls_when_warm)
