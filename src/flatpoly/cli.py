@@ -164,32 +164,6 @@ class ModelConfig:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    def to_dict(self):
-        doc = {
-            "system": {
-                "A": self.system.A.tolist(),
-                "B": self.system.B.tolist(),
-                "d": self.system.d.tolist(),
-            },
-            "cost": {
-                "Q": self.cost.Q.tolist(),
-                "R": self.cost.R.tolist(),
-                "P": self.cost.P.tolist(),
-                "x_star": self.cost.x_star.tolist(),
-                "x_ref": self.cost.x_ref.tolist(),
-                "T": self.cost.T,
-            },
-            "basis": {"N": self.degree},
-            "initial_state": self.x0.tolist(),
-        }
-        if self.constraints is not None:
-            doc["constraints"] = {
-                "G_x": self.constraints.G_x.tolist(),
-                "G_u": self.constraints.G_u.tolist(),
-                "g0": self.constraints.g0.tolist(),
-            }
-        return doc
-
 
 def _fmt(x):
     """Locale-independent scalar formatting for CSV cells."""

@@ -359,22 +359,21 @@ def _discretize(p: PmsmParams, omega, dt):
     A = -(R/L) I + n_p w [[0, 1], [-1, 0]] is a damped rotation, so
     e^{A dt} = e^{-R dt / L} [[cos, sin], [-sin, cos]](n_p w dt); R > 0
     makes A invertible, so S = int_0^dt e^{A s} ds = A^{-1} (e^{A dt} - I).
-    Returns (Ad, Bd, dd) with x(dt) = Ad x0 + Bd u + dd for constant u,
-    where Bd = S B = S / L and dd = S d.
+    Returns the input map Bd = S B = S / L of x(dt) = e^{A dt} x0 + Bd u
+    + S d for constant u.
     """
     A, d = _frozen_speed_model(p, omega)
     sigma, a = p.R / p.L, A[0, 1]
     theta = a * dt
     decay = math.exp(-sigma * dt)
     cos, sin = math.cos(theta), math.sin(theta)
-    Ad = decay * np.array([[cos, sin], [-sin, cos]])
     # e^{A dt} - I without cancellation: decay cos - 1 is
     # expm1(-sigma dt) cos - 2 sin^2(theta / 2).
     diag = math.expm1(-sigma * dt) * cos - 2.0 * math.sin(0.5 * theta) ** 2
     E_minus_I = np.array([[diag, decay * sin], [-decay * sin, diag]])
     A_inv = np.array([[-sigma, -a], [a, -sigma]]) / (sigma**2 + a**2)
     S = A_inv @ E_minus_I
-    return Ad, S / p.L, S @ d
+    return S / p.L
 
 
 class _Planner:
@@ -414,11 +413,12 @@ class _Planner:
     measured state, which pins x(0), and not a planner decision; those rows
     are left out by structure.  One-step landing rows are appended: the
     first input sample is held for one sampling period, so the state the
-    plant lands on is Ad x0 + Bd u(0) + dd (exact for the frozen-speed
-    model).  Constraining that point with the backed-off current bounds
-    keeps the applied samples inside the true polytope, which the planned
-    polynomial alone does not guarantee: it follows the frozen-speed model,
-    not the held input the plant receives.
+    plant lands on is x0 + Bd (u(0) - u0) (exact for the frozen-speed
+    model, whose constant input u0 = -L (A x0 + d) holds x0 still).
+    Constraining that point with the backed-off current bounds keeps the
+    applied samples inside the true polytope, which the planned polynomial
+    alone does not guarantee: it follows the frozen-speed model, not the
+    held input the plant receives.
     """
 
     def __init__(self, p: PmsmParams, scenario: Scenario):
@@ -508,10 +508,9 @@ class _Planner:
         # Checked before _discretize: an overflowed speed term would
         # otherwise reach math.cos as inf.
         _require_finite_rows(G_poly, h_poly)
-        Ad, Bd, dd = _discretize(p, omega, self.dt)
-        land_c0 = Ad @ x0 + Bd @ u0 + dd
+        Bd = _discretize(p, omega, self.dt)
         G_land = self.G_land @ (Bd @ self.u0_lin)
-        h_land = -(self.G_land @ land_c0 + self.g_land)
+        h_land = -(self.G_land @ x0 + self.g_land)
         _require_finite_rows(G_land, h_land)
         G = np.vstack([G_poly, G_land])
         h = np.concatenate([h_poly, h_land])

@@ -409,10 +409,9 @@ def test_discretize_matches_matrix_exponential(omega):
     p = PmsmParams()
     dt = Scenario().dt
     got = _discretize(p, omega, dt)
-    ref = expm_discretization(pmsm_linearize(p, omega), dt)
-    for name, g, r in zip(("Ad", "Bd", "dd"), got, ref):
-        err = np.abs(g - r).max()
-        assert err <= 1e-13 * np.abs(r).max(), f"{name}: {err:.2e}"
+    ref = expm_discretization(pmsm_linearize(p, omega), dt)[1]
+    err = np.abs(got - ref).max()
+    assert err <= 1e-13 * np.abs(ref).max(), f"Bd: {err:.2e}"
 
 
 def assert_close(got, ref, name):
