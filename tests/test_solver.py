@@ -287,8 +287,9 @@ def test_constant_rows_are_inert():
         padded, rows, at = with_constant_rows(rng, ldp)
         n = ldp.n_free
         new, _ = random_feasible_ldp(rng, G=ldp.G)
-        new_padded = toy_ldp(padded.G, padded.h.copy(), c=new.c)
-        new_padded.h[rows] = new.h
+        h = padded.h.copy()
+        h[rows] = new.h
+        new_padded = toy_ldp(padded.G, h, c=new.c)
         qp, lp = solve_qp(ldp), solve_lp(ldp)
         runs = [
             (qp, solve_qp(padded)),
