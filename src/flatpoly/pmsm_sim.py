@@ -310,30 +310,37 @@ def pmsm_constraints(p: PmsmParams, current_margin=0.0) -> LinearConstraintSpec:
     return LinearConstraintSpec(G_x=G_x, G_u=G_u, g0=g0)
 
 
-def _plant_rhs(state, v_d, v_q, tau_load, p: PmsmParams, J_m, b):
-    i_d, i_q, w = state
+def _plant_rhs(i_d, i_q, w, v_d, v_q, tau_load, p: PmsmParams, J_m, b):
     a = p.n_p * w
     did = (-p.R * i_d + p.L * a * i_q + v_d) / p.L
     diq = (-p.L * a * i_d - p.R * i_q + v_q - a * p.K) / p.L
     dw = (torque_constant(p) * i_q - tau_load - b * w) / J_m
-    return np.array([did, diq, dw])
+    return did, diq, dw
 
 
 def step_plant(state, u, tau_load, p: PmsmParams, J_m, b, dt):
     """One RK4 step of the full nonlinear machine plus mechanics.
 
     state = (i_d, i_q, omega); u = (v_d, v_q) held constant over the step.
+    The three states are stepped as Python floats, which spares the numpy
+    call overhead of 3-element arrays and rounds exactly as they would.
     """
-    s = np.asarray(state, dtype=float)
-    v_d, v_q = float(u[0]), float(u[1])
-    k1 = _plant_rhs(s, v_d, v_q, tau_load, p, J_m, b)
-    k2 = _plant_rhs(s + 0.5 * dt * k1, v_d, v_q, tau_load, p, J_m, b)
-    k3 = _plant_rhs(s + 0.5 * dt * k2, v_d, v_q, tau_load, p, J_m, b)
-    k4 = _plant_rhs(s + dt * k3, v_d, v_q, tau_load, p, J_m, b)
-    out = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    x = np.asarray(state, dtype=float).tolist()
+    args = float(u[0]), float(u[1]), tau_load, p, J_m, b
+    half = 0.5 * dt
+    try:
+        k1 = _plant_rhs(*x, *args)
+        k2 = _plant_rhs(*[s + half * k for s, k in zip(x, k1)], *args)
+        k3 = _plant_rhs(*[s + half * k for s, k in zip(x, k2)], *args)
+        k4 = _plant_rhs(*[s + dt * k for s, k in zip(x, k3)], *args)
+    except ZeroDivisionError:  # a zero J_m or L: no finite state
+        raise NonFinite("plant integration diverged") from None
+    sixth = dt / 6.0
+    out = [s + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+           for s, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
         raise NonFinite("plant integration diverged")
-    return out
+    return np.array(out)
 
 
 def pi_speed_controller(omega_ref, omega, k_p, k_i, tau_limit, dt,

@@ -10,7 +10,12 @@ them, so stationarity, complementarity and dual feasibility hold to
 rounding at every iterate and nothing is left to polish at the end.  It
 stops once no row is violated by more than 1e-12 max(1, |h|_inf) on the
 scaled rows, a bound that grows with h as rounding does.  The iteration
-count is one per add or drop.
+count is one per add or drop.  A warm start is first tried as the answer
+(the online active-set step of Ferreau, Bock and Diehl, IJRNC 2008): one
+Cholesky factorization of the warm rows' Gram matrix gives their
+multipliers, and the rows are accepted after 0 iterations when every
+multiplier is positive, no other row fails the stopping test and no
+pivot is below GRAM_PIVOT_TOL; otherwise the loop starts from them.
 
 The linear path splits f into nonnegative parts, minimizes the coordinate
 sum with a dense dual simplex (Lemke 1954) and maps the vertex back.  Its
@@ -78,6 +83,13 @@ ZERO_ROW_TOL = 1e-13
 #: A unit row closer than this to the span of the active rows depends on them.
 DEPENDENT_ROW_TOL = 1e-10
 
+#: The QP accepts a warm active set outright only when every pivot of the
+#: Cholesky factorization of its rows' Gram matrix is at least this.  The
+#: Gram matrix squares the condition number of the unit rows, so this
+#: keeps the accepted multipliers far from the rank-deficient seeds that
+#: DEPENDENT_ROW_TOL screens on the QR factor.
+GRAM_PIVOT_TOL = 1e-6
+
 #: The dual simplex pivots only on tableau entries below -PIVOT_TOL.  Pivots
 #: on entries down to -1e-11 grew the tableau to 1e13 on high-degree
 #: infeasible instances, which then lost dual feasibility.
@@ -143,9 +155,11 @@ def _scaled_rows(G, h):
     is violated (the instance is infeasible regardless of f).  A satisfied
     constant row becomes 0 f <= 1.
     """
-    norms = np.linalg.norm(G, axis=1)
-    scale = max(1.0, np.abs(G).max()) if G.size else 1.0
+    norms = np.sqrt(np.add.reduce(G * G, axis=1))
+    scale = max(1.0, G.max(), -G.min()) if G.size else 1.0
     zero = norms <= ZERO_ROW_TOL * scale
+    if not zero.any():
+        return G / norms[:, None], h / norms
     if np.any(h[zero] < -FEASIBILITY_TOL):
         return None
     norms[zero] = np.inf
@@ -176,13 +190,56 @@ def _solve(ldp, solver, core, max_iter, warm_start):
     )
 
 
+def _warm_active_set(Gn, hn, rows, tol):
+    """The optimum of the dual loop on its first test, if rows are optimal.
+
+    rows are sorted, distinct row indices; inert rows among them, whose
+    gradient is zero, are dropped, as the dual loop's seed drops them.  One
+    Cholesky factorization R'R of the Gram matrix Gn_A Gn_A' of the rest
+    gives the multipliers u of Gn_A f = hn_A, f = -Gn_A' u, which is the
+    point the dual loop's QR would give.  The rows are accepted only when
+    every pivot R_ii^2 is at least GRAM_PIVOT_TOL, every u is positive and
+    no other row is violated by more than tol, the dual loop's stopping
+    test.
+
+    Returns _dual_active_set's tuple for 0 iterations, or None.
+    """
+    M, n = Gn.shape
+    active = np.asarray(rows)
+    GA = Gn[active]
+    live = GA.any(axis=1)
+    if not live.all():
+        active, GA = active[live], GA[live]
+    if not 0 < active.size <= n:
+        return None
+    # The Gram matrix is symmetric: its transpose is the same matrix in
+    # Fortran order, which LAPACK takes without a copy.
+    L, info = scipy.linalg.lapack.dpotrf((GA @ GA.T).T, lower=1)
+    if info or L.diagonal().min() ** 2 < GRAM_PIVOT_TOL:
+        return None
+    y = _solve_upper(L.T, hn[active], trans=True)
+    u = -_solve_upper(L.T, y)
+    if u.min() <= 0.0:
+        return None
+    f = -(u @ GA)
+    viol = Gn @ f - hn
+    viol[active] = -np.inf
+    if viol.max() > tol:
+        return None
+    mu = np.zeros(M)
+    mu[active] = 2.0 * u
+    return "optimal", f, 0, tuple(active.tolist()), mu, None
+
+
 def _dual_active_set(Gn, hn, max_iter, warm_start):
     """min f'f over unit rows Gn f <= hn by Goldfarb and Idnani's dual method.
 
     The active set starts from the warm-start rows, possibly none
-    (out-of-range indices, duplicates and rows in the span of earlier ones,
+    (a warm start that is not a sequence of integers is ignored;
+    out-of-range indices, duplicates and rows in the span of earlier ones,
     an inert row's zero gradient included, skipped, then rows of
-    nonpositive multiplier dropped, smallest index first).  Each iteration
+    nonpositive multiplier dropped, smallest index first), unless
+    _warm_active_set accepts those rows as they are.  Each iteration
     adds the most violated row, or drops the active row whose multiplier
     reaches zero first on the way there; ties go to the smallest row
     index.  After each change one QR factorization of the active rows gives
@@ -196,8 +253,14 @@ def _dual_active_set(Gn, hn, max_iter, warm_start):
     if max_iter is None:
         max_iter = 10 * M
     tol = 1e-12 * max(1.0, np.abs(hn).max())
-    rows = np.fromiter(() if warm_start is None else warm_start, dtype=int)
-    active = sorted(set(rows[(rows >= 0) & (rows < M)].tolist()))
+    seed = np.asarray([] if warm_start is None else list(warm_start))
+    active = []
+    if seed.ndim == 1 and seed.dtype.kind in "iu":  # else start cold
+        active = sorted(set(seed[(seed >= 0) & (seed < M)].tolist()))
+    if active:
+        accepted = _warm_active_set(Gn, hn, active, tol)
+        if accepted is not None:
+            return accepted
     f, u = np.zeros(n), np.zeros(0)
     while active:
         Q, R = np.linalg.qr(Gn[active].T)
@@ -272,7 +335,9 @@ def solve_qp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
         times the row count, constant rows included.
     warm_start : iterable of int, optional
         Row indices expected active, e.g. from the previous
-        receding-horizon step; they are the starting active set.
+        receding-horizon step; they are the starting active set, and the
+        answer after 0 iterations when they are still optimal and well
+        conditioned.  One that holds anything but integers is ignored.
 
     Returns
     -------

@@ -174,6 +174,45 @@ def test_step_plant_unforced_currents_decay():
     assert energy(state) < e0
 
 
+def numpy_rk4(state, u, tau_load, p, J_m, b, dt):
+    """The plant's RK4 step on 3-element arrays, the reference step_plant
+    must reproduce bit for bit."""
+    def rhs(s):
+        i_d, i_q, w = s
+        a = p.n_p * w
+        return np.array([
+            (-p.R * i_d + p.L * a * i_q + u[0]) / p.L,
+            (-p.L * a * i_d - p.R * i_q + u[1] - a * p.K) / p.L,
+            (torque_constant(p) * i_q - tau_load - b * w) / J_m,
+        ])
+
+    s = np.asarray(state, dtype=float)
+    k1 = rhs(s)
+    k2 = rhs(s + 0.5 * dt * k1)
+    k3 = rhs(s + 0.5 * dt * k2)
+    k4 = rhs(s + dt * k3)
+    return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def test_step_plant_matches_numpy_rk4_bit_for_bit():
+    rng = np.random.default_rng(1602)
+    for _ in range(2000):
+        p = PmsmParams(R=rng.uniform(0.1, 3.0), L=rng.uniform(1e-3, 2e-2),
+                       n_p=int(rng.integers(1, 8)), K=rng.uniform(0.05, 1.0))
+        state = rng.standard_normal(3) * [10.0, 10.0, 500.0]
+        u = rng.standard_normal(2) * 300.0
+        tau_load = rng.uniform(-10.0, 10.0)
+        J_m, b = rng.uniform(1e-4, 1e-2), rng.uniform(0.0, 1e-2)
+        dt = 10.0 ** rng.uniform(-6, -3)
+        out = step_plant(state, u, tau_load, p, J_m, b, dt)
+        ref = numpy_rk4(state, u, tau_load, p, J_m, b, dt)
+        assert isinstance(out, np.ndarray) and out.dtype == float
+        assert np.array_equal(out, ref)
+    # A zero inertia gives inf or nan on arrays; the float step says so too.
+    with pytest.raises(NonFinite):
+        step_plant(np.ones(3), np.ones(2), 0.0, PmsmParams(), 0.0, 0.0, 1e-4)
+
+
 def test_pi_controller_behaviour():
     tau, integ = pi_speed_controller(0.0, 0.0, 0.24, 45.0, 10.0, 1e-4)
     assert tau == 0.0 and integ == 0.0

@@ -338,6 +338,94 @@ def test_warm_start_with_rank_deficient_seed_matches_cold():
         check_kkt(ldp, warm)
 
 
+def dual_loop_only(monkeypatch, ldp, seed):
+    """solve_qp(ldp) from seed with the accept step turned off."""
+    with monkeypatch.context() as m:
+        m.setattr(solver_module, "_warm_active_set", lambda *args: None)
+        return solve_qp(ldp, warm_start=seed)
+
+
+def test_accept_step_matches_dual_loop_from_same_seed(monkeypatch):
+    # The accept step of the warm QP must land where the dual loop does
+    # from the same seed: the same status, iteration count and active
+    # rows, and f to rounding.  Seeds: the cold optimum, a stale optimum
+    # of another draw of the same shape, rank-deficient ones (a duplicated
+    # row, more rows than parameters) and ones naming constant rows.
+    rng = np.random.default_rng(1601)
+    accepted = []
+    real = solver_module._warm_active_set
+
+    def counting(*args):
+        out = real(*args)
+        accepted.append(out is not None)
+        return out
+
+    monkeypatch.setattr(solver_module, "_warm_active_set", counting)
+    for trial in range(60):
+        ldp, _ = random_feasible_ldp(rng, max_m=40)
+        M, n = ldp.G.shape
+        cold = solve_qp(ldp)
+        stale, _ = random_feasible_ldp(rng, shape=(M, n))
+        dup = toy_ldp(np.vstack([ldp.G, ldp.G[:1]]),
+                      np.append(ldp.h, ldp.h[0]), c=ldp.c)
+        padded, rows, at = with_constant_rows(rng, ldp)
+        cold_rows = list(cold.active_rows)
+        runs = [
+            (ldp, cold_rows),
+            (ldp, list(solve_qp(stale).active_rows)),
+            (ldp, list(range(min(M, n + 2)))),
+            (dup, cold_rows + [0, M]),
+            (padded, list(rows[cold_rows]) + list(at)),
+        ]
+        for k, (problem, seed) in enumerate(runs):
+            a = solve_qp(problem, warm_start=seed)
+            b = dual_loop_only(monkeypatch, problem, seed)
+            assert (a.status, a.iterations) == (b.status, b.iterations), k
+            assert a.active_rows == b.active_rows, (trial, k)
+            if b.status == "optimal":
+                err = np.abs(a.f - b.f).max()
+                assert err <= 1e-12 * np.abs(b.f).max(), (trial, k, err)
+                if problem is not padded:  # check_kkt takes no constant rows
+                    check_kkt(problem, a)
+    # Both branches are exercised: warm seeds are accepted, and stale or
+    # rank-deficient ones fall through to the dual loop.
+    assert 60 <= sum(accepted) < len(accepted)
+
+
+def test_nearly_parallel_seed_rows_are_not_accepted(monkeypatch):
+    # f1 - e f2 >= 1 and f1 + e f2 >= 1 are both active at f = (1, 0)
+    # with positive multipliers, but their Gram matrix has a pivot of
+    # about (2 e)^2, below GRAM_PIVOT_TOL: the dual loop decides.
+    e = 1e-5
+    ldp = toy_ldp([[-1.0, e], [-1.0, -e]], [-1.0, -1.0])
+    Gn, hn = solver_module._scaled_rows(ldp.G, ldp.h)
+    assert solver_module._warm_active_set(Gn, hn, [0, 1], 1e-12) is None
+    res = solve_qp(ldp, warm_start=[0, 1])
+    ref = dual_loop_only(monkeypatch, ldp, [0, 1])
+    assert (res.status, res.iterations, res.active_rows) == (
+        "optimal", 0, (0, 1))
+    assert np.array_equal(res.f, ref.f)
+    np.testing.assert_allclose(res.f, [1.0, 0.0], atol=1e-10)
+    # The same rows at a wide angle are accepted outright.
+    Gn, hn = solver_module._scaled_rows(np.array([[-1.0, 1.0], [-1.0, -1.0]]),
+                                        np.array([-1.0, -1.0]))
+    assert solver_module._warm_active_set(Gn, hn, [0, 1], 1e-12) is not None
+
+
+def test_non_integral_warm_start_solves_cold():
+    # Seeding rows 1 and 0, or row 0, would skip iterations here, so a
+    # warm start read as row indices would show in the iteration count.
+    ldp = toy_ldp([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [-1.0, -1.0, 5.0])
+    cold = solve_qp(ldp)
+    assert cold.iterations == 2
+    assert solve_qp(ldp, warm_start=[1, 0]).iterations == 0
+    for seed in ([1.7, 0], ["0"], [True]):
+        res = solve_qp(ldp, warm_start=seed)
+        assert (res.status, res.iterations) == ("optimal", 2), seed
+        assert res.active_rows == cold.active_rows
+        assert np.array_equal(res.f, cold.f), seed
+
+
 def assert_same_as_cold(ldp, res):
     cold = solve_lp(ldp)
     assert (res.status, res.iterations) == (cold.status, cold.iterations)
