@@ -217,16 +217,18 @@ def _solve_upper(F, b, trans=False):
     return x
 
 
-def unconstrained_optimum(pc: ParameterizedCost, F=None):
+def _alpha0(F, k):
+    """alpha0 = -K^{-1} k / 2 through the Cholesky factor F of K."""
+    return _solve_upper(F, _solve_upper(F, -0.5 * k, trans=True))
+
+
+def unconstrained_optimum(pc: ParameterizedCost):
     """Unconstrained minimizer alpha0 = -K^{-1} k / 2.
 
-    Solves through the Cholesky factor (computed here when not supplied),
-    so the gradient 2 K alpha0 + k vanishes to factorization accuracy.
+    Solves through the Cholesky factor, so the gradient 2 K alpha0 + k
+    vanishes to factorization accuracy.
     """
-    if F is None:
-        F = assert_convexity(pc)
-    y = _solve_upper(F, -0.5 * pc.k, trans=True)
-    return _solve_upper(F, y)
+    return _alpha0(assert_convexity(pc), pc.k)
 
 
 @dataclass(frozen=True)
@@ -290,7 +292,7 @@ def _least_distance(K, k, k0, G, h, tags):
     F = _cholesky(K)
     if np.abs(np.diag(F)).min() <= 0:  # pragma: no cover - dpotrf guards this
         raise SingularFactor("Cholesky factor has a zero diagonal entry")
-    alpha0 = _solve_upper(F, _solve_upper(F, -0.5 * k, trans=True))
+    alpha0 = _alpha0(F, k)
     c = float(alpha0 @ K @ alpha0 + k @ alpha0 + k0)
     # Solve X F = G, i.e. F' X' = G'.
     return LeastDistanceProblem(

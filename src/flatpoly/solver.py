@@ -10,12 +10,14 @@ them, so stationarity, complementarity and dual feasibility hold to
 rounding at every iterate and nothing is left to polish at the end.  It
 stops once no row is violated by more than 1e-12 max(1, |h|_inf) on the
 scaled rows, a bound that grows with h as rounding does.  The iteration
-count is one per add or drop.  A warm start is first tried as the answer
-(the online active-set step of Ferreau, Bock and Diehl, IJRNC 2008): one
+count is one per add or drop.  A warm start seeds the active set (the
+online active-set step of Ferreau, Bock and Diehl, IJRNC 2008): one
 Cholesky factorization of the warm rows' Gram matrix gives their
-multipliers, and the rows are accepted after 0 iterations when every
-multiplier is positive, no other row fails the stopping test and no
-pivot is below GRAM_PIVOT_TOL; otherwise the loop starts from them.
+multipliers u and the minimum-norm point f = -Gn_A' u on them.  While
+there are more rows than parameters, a pivot is below GRAM_PIVOT_TOL or a
+multiplier is not positive, one row is dropped and the rest refactored.
+The loop starts from what is left; a seed that is still optimal passes
+its first stopping test and is the answer after 0 iterations.
 
 The linear path splits f into nonnegative parts, minimizes the coordinate
 sum with a dense dual simplex (Lemke 1954) and maps the vertex back.  Its
@@ -83,11 +85,11 @@ ZERO_ROW_TOL = 1e-13
 #: A unit row closer than this to the span of the active rows depends on them.
 DEPENDENT_ROW_TOL = 1e-10
 
-#: The QP accepts a warm active set outright only when every pivot of the
-#: Cholesky factorization of its rows' Gram matrix is at least this.  The
-#: Gram matrix squares the condition number of the unit rows, so this
-#: keeps the accepted multipliers far from the rank-deficient seeds that
-#: DEPENDENT_ROW_TOL screens on the QR factor.
+#: The QP's warm seed keeps a row only when its pivot in the Cholesky
+#: factorization of the seed rows' Gram matrix is at least this.  The Gram
+#: matrix squares the condition number of the unit rows, so this keeps the
+#: seed's multipliers far from rank deficiency, where DEPENDENT_ROW_TOL on
+#: the loop's QR factor would not.
 GRAM_PIVOT_TOL = 1e-6
 
 #: The dual simplex pivots only on tableau entries below -PIVOT_TOL.  Pivots
@@ -190,64 +192,27 @@ def _solve(ldp, solver, core, max_iter, warm_start):
     )
 
 
-def _warm_active_set(Gn, hn, rows, tol):
-    """The optimum of the dual loop on its first test, if rows are optimal.
-
-    rows are sorted, distinct row indices; inert rows among them, whose
-    gradient is zero, are dropped, as the dual loop's seed drops them.  One
-    Cholesky factorization R'R of the Gram matrix Gn_A Gn_A' of the rest
-    gives the multipliers u of Gn_A f = hn_A, f = -Gn_A' u, which is the
-    point the dual loop's QR would give.  The rows are accepted only when
-    every pivot R_ii^2 is at least GRAM_PIVOT_TOL, every u is positive and
-    no other row is violated by more than tol, the dual loop's stopping
-    test.
-
-    Returns _dual_active_set's tuple for 0 iterations, or None.
-    """
-    M, n = Gn.shape
-    active = np.asarray(rows)
-    GA = Gn[active]
-    live = GA.any(axis=1)
-    if not live.all():
-        active, GA = active[live], GA[live]
-    if not 0 < active.size <= n:
-        return None
-    # The Gram matrix is symmetric: its transpose is the same matrix in
-    # Fortran order, which LAPACK takes without a copy.
-    L, info = scipy.linalg.lapack.dpotrf((GA @ GA.T).T, lower=1)
-    if info or L.diagonal().min() ** 2 < GRAM_PIVOT_TOL:
-        return None
-    y = _solve_upper(L.T, hn[active], trans=True)
-    u = -_solve_upper(L.T, y)
-    if u.min() <= 0.0:
-        return None
-    f = -(u @ GA)
-    viol = Gn @ f - hn
-    viol[active] = -np.inf
-    if viol.max() > tol:
-        return None
-    mu = np.zeros(M)
-    mu[active] = 2.0 * u
-    return "optimal", f, 0, tuple(active.tolist()), mu, None
-
-
 def _dual_active_set(Gn, hn, max_iter, warm_start):
     """min f'f over unit rows Gn f <= hn by Goldfarb and Idnani's dual method.
 
-    The active set starts from the warm-start rows, possibly none
-    (a warm start that is not a sequence of integers is ignored;
-    out-of-range indices, duplicates and rows in the span of earlier ones,
-    an inert row's zero gradient included, skipped, then rows of
-    nonpositive multiplier dropped, smallest index first), unless
-    _warm_active_set accepts those rows as they are.  Each iteration
-    adds the most violated row, or drops the active row whose multiplier
-    reaches zero first on the way there; ties go to the smallest row
-    index.  After each change one QR factorization of the active rows gives
-    f and the multipliers u of f'f/2 exactly: Gn_A f = hn_A and
-    f = -Gn_A' u.
+    The active set starts from the warm-start rows in range, sorted and
+    deduplicated, possibly none (a warm start that is not a sequence of
+    integers is ignored).  One Cholesky factorization R'R of their Gram
+    matrix Gn_A Gn_A' gives the multipliers u of Gn_A f = hn_A and
+    f = -Gn_A' u, the point the QR below would give.  Until every pivot
+    R_ii^2 is at least GRAM_PIVOT_TOL, there are at most n rows and every
+    u is positive, one row is dropped and the rest refactored: the first
+    of a small or failed pivot (a row in the span of earlier ones, an inert
+    row's zero gradient included), else row n, else the first of
+    nonpositive multiplier.  Each iteration then adds the most violated
+    row, or drops the active row whose multiplier reaches zero first on
+    the way there; ties go to the smallest row index.  After each change
+    one QR factorization of the active rows gives f and u exactly.  A seed
+    that is still optimal passes the first stopping test: 0 iterations.
 
     Returns _solve's core tuple with status 'optimal', 'infeasible' or
-    'iteration_limit'; duals are the multipliers 2 u of f'f, one per row.
+    'iteration_limit', the last before a change that would take the count
+    past max_iter; duals are the multipliers 2 u of f'f, one per row.
     """
     M, n = Gn.shape
     if max_iter is None:
@@ -257,23 +222,27 @@ def _dual_active_set(Gn, hn, max_iter, warm_start):
     active = []
     if seed.ndim == 1 and seed.dtype.kind in "iu":  # else start cold
         active = sorted(set(seed[(seed >= 0) & (seed < M)].tolist()))
-    if active:
-        accepted = _warm_active_set(Gn, hn, active, tol)
-        if accepted is not None:
-            return accepted
+    active = np.array(active, dtype=np.intp)
     f, u = np.zeros(n), np.zeros(0)
-    while active:
-        Q, R = np.linalg.qr(Gn[active].T)
-        dep = np.flatnonzero(np.abs(np.diag(R)) <= DEPENDENT_ROW_TOL)
-        if len(active) > n or dep.size:
-            del active[int(dep[0]) if dep.size else n]
+    while active.size:
+        GA = Gn[active]
+        # The Gram matrix is symmetric: its transpose is the same matrix in
+        # Fortran order, which LAPACK takes without a copy.
+        L, info = scipy.linalg.lapack.dpotrf((GA @ GA.T).T, lower=1)
+        d = L.diagonal()
+        if info or active.size > n or d.min() ** 2 < GRAM_PIVOT_TOL:
+            # dpotrf stops at its first nonpositive pivot, number info.
+            done = info - 1 if info else active.size
+            small = np.flatnonzero(d[:done] ** 2 < GRAM_PIVOT_TOL)
+            active = np.delete(
+                active, int(small[0]) if small.size else min(done, n))
             continue
-        y = _solve_upper(R, hn[active], trans=True)
-        u_seed = -_solve_upper(R, y)
+        y = _solve_upper(L.T, hn[active], trans=True)
+        u_seed = -_solve_upper(L.T, y)
         if u_seed.min() > 0.0:
-            f, u = Q @ y, u_seed
+            f, u = -(u_seed @ GA), u_seed
             break
-        del active[int(np.argmax(u_seed <= 0.0))]
+        active = np.delete(active, int(np.argmax(u_seed <= 0.0)))
 
     iters = 0
     while True:
@@ -283,20 +252,22 @@ def _dual_active_set(Gn, hn, max_iter, warm_start):
         if viol[p] <= tol:
             mu = np.zeros(M)
             mu[active] = 2.0 * u
-            return "optimal", f, iters, tuple(sorted(active)), mu, None
+            return ("optimal", f, iters, tuple(sorted(active.tolist())), mu,
+                    None)
         u = np.append(u, 0.0)  # the multiplier of p grows from zero
         while True:
-            iters += 1
-            if iters > max_iter:
+            if iters + 1 > max_iter:
                 return "iteration_limit", None, iters, (), None, None
-            k = len(active)
-            Q, R = np.linalg.qr(Gn[active + [p]].T)
+            iters += 1
+            k = active.size
+            rows = np.append(active, p)
+            Q, R = np.linalg.qr(Gn[rows].T)
             if k < n and abs(R[k, k]) > DEPENDENT_ROW_TOL:
-                y = _solve_upper(R, hn[active + [p]], trans=True)
+                y = _solve_upper(R, hn[rows], trans=True)
                 u_full = -_solve_upper(R, y)
                 blocking = np.flatnonzero(u_full[:k] < 0.0)
                 if blocking.size == 0:
-                    active, f, u = active + [p], Q @ y, u_full
+                    active, f, u = rows, Q @ y, u_full
                     break
                 # Along the segment from u to u_full, the first multiplier
                 # to reach zero leaves the active set.
@@ -311,11 +282,11 @@ def _dual_active_set(Gn, hn, max_iter, warm_start):
                     return "infeasible", None, iters, (), None, None
                 ratios = u[blocking] / r[blocking]
                 step = np.append(-r, 1.0)
-            j = np.lexsort((np.asarray(active)[blocking], ratios))[0]
+            j = np.lexsort((active[blocking], ratios))[0]
             u = np.maximum(u + ratios[j] * step, 0.0)
             drop = int(blocking[j])
             u = np.delete(u, drop)
-            del active[drop]
+            active = np.delete(active, drop)
 
 
 def solve_qp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
@@ -332,12 +303,14 @@ def solve_qp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
     ----------
     max_iter : int, optional
         Cap on active-set changes (one per add or drop); defaults to 10
-        times the row count, constant rows included.
+        times the row count, constant rows included.  The solve stops
+        with 'iteration_limit' before a change past it.
     warm_start : iterable of int, optional
         Row indices expected active, e.g. from the previous
-        receding-horizon step; they are the starting active set, and the
-        answer after 0 iterations when they are still optimal and well
-        conditioned.  One that holds anything but integers is ignored.
+        receding-horizon step.  They seed the active set, less the rows
+        that are dependent, too many or of nonpositive multiplier, and
+        are the answer after 0 iterations when still optimal.  One that
+        holds anything but integers is ignored.
 
     Returns
     -------
@@ -443,8 +416,8 @@ def _dual_simplex(Gn, hn, start, max_iter):
     value is >= -1e-12 max(1, |hn|_inf), with basis in SolveResult.basis
     form; otherwise basis is None and status is 'infeasible' when the
     leaving row has no entry below -PIVOT_TOL (its basic value is negative
-    however the nonbasic columns are raised), 'iteration_limit' after
-    max_iter pivots, 'lost_dual_feasibility' when a reduced cost falls
+    however the nonbasic columns are raised), 'iteration_limit' before a
+    pivot past max_iter, 'lost_dual_feasibility' when a reduced cost falls
     below -1e-9 or 'non_finite' when the tableau overflows.
     """
     M, n = Gn.shape
@@ -485,7 +458,7 @@ def _dual_simplex(Gn, hn, start, max_iter):
         candidates = np.flatnonzero(row < -PIVOT_TOL)
         if candidates.size == 0:
             return "infeasible", None, pivots
-        if pivots == max_iter:
+        if pivots + 1 > max_iter:
             return "iteration_limit", None, pivots
         ratios = np.maximum(red[candidates], 0.0) / -row[candidates]
         pick = int(np.argmax(ratios <= ratios.min() + 1e-12))
@@ -536,7 +509,8 @@ def solve_lp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
     max_iter : int, optional
         Cap on all pivots of the solve, a stalled warm start's included;
         defaults to 10 times the column count of the standard form, one
-        slack per row, constant rows included.
+        slack per row, constant rows included.  The solve stops with
+        'iteration_limit' before a pivot past it.
     warm_start : sequence of int, optional
         A basis in SolveResult.basis form, e.g. the previous
         receding-horizon step's.  If it maps onto these rows and is dual

@@ -232,6 +232,15 @@ def test_iteration_limit_status():
     np.testing.assert_allclose(full.f, [1.0, 1.0], atol=1e-12)
     lp_res = solve_lp(ldp, max_iter=1)
     assert lp_res.status == "iteration_limit"
+    # Both solvers take two steps here; each stops before a step that
+    # would take its count past max_iter and reports the steps it made.
+    assert solve_lp(ldp).iterations == 2
+    for max_iter, made in ((0, 0), (1, 1), (-1, 0), (1.5, 1)):
+        for solve in (solve_qp, solve_lp):
+            res = solve(ldp, max_iter=max_iter)
+            assert (res.status, res.iterations) == (
+                "iteration_limit", made), (solve, max_iter)
+            assert res.f is None and res.alpha is None
 
 
 def test_infeasible_rows_detected():
@@ -338,29 +347,15 @@ def test_warm_start_with_rank_deficient_seed_matches_cold():
         check_kkt(ldp, warm)
 
 
-def dual_loop_only(monkeypatch, ldp, seed):
-    """solve_qp(ldp) from seed with the accept step turned off."""
-    with monkeypatch.context() as m:
-        m.setattr(solver_module, "_warm_active_set", lambda *args: None)
-        return solve_qp(ldp, warm_start=seed)
-
-
-def test_accept_step_matches_dual_loop_from_same_seed(monkeypatch):
-    # The accept step of the warm QP must land where the dual loop does
-    # from the same seed: the same status, iteration count and active
-    # rows, and f to rounding.  Seeds: the cold optimum, a stale optimum
-    # of another draw of the same shape, rank-deficient ones (a duplicated
-    # row, more rows than parameters) and ones naming constant rows.
+def test_accept_step_matches_dual_loop_from_same_seed():
+    # A warm QP lands where the cold one does: the same status, f to
+    # rounding and the KKT conditions, from any seed.  The cold optimum is
+    # accepted as it is, after 0 iterations on the cold active rows.
+    # Other seeds: a stale optimum of another draw of the same shape,
+    # rank-deficient ones (a duplicated row, more rows than parameters)
+    # and ones naming constant rows.
     rng = np.random.default_rng(1601)
-    accepted = []
-    real = solver_module._warm_active_set
-
-    def counting(*args):
-        out = real(*args)
-        accepted.append(out is not None)
-        return out
-
-    monkeypatch.setattr(solver_module, "_warm_active_set", counting)
+    iterations = []
     for trial in range(60):
         ldp, _ = random_feasible_ldp(rng, max_m=40)
         M, n = ldp.G.shape
@@ -379,37 +374,64 @@ def test_accept_step_matches_dual_loop_from_same_seed(monkeypatch):
         ]
         for k, (problem, seed) in enumerate(runs):
             a = solve_qp(problem, warm_start=seed)
-            b = dual_loop_only(monkeypatch, problem, seed)
-            assert (a.status, a.iterations) == (b.status, b.iterations), k
-            assert a.active_rows == b.active_rows, (trial, k)
-            if b.status == "optimal":
-                err = np.abs(a.f - b.f).max()
-                assert err <= 1e-12 * np.abs(b.f).max(), (trial, k, err)
-                if problem is not padded:  # check_kkt takes no constant rows
-                    check_kkt(problem, a)
-    # Both branches are exercised: warm seeds are accepted, and stale or
-    # rank-deficient ones fall through to the dual loop.
-    assert 60 <= sum(accepted) < len(accepted)
+            b = solve_qp(problem)
+            assert a.status == b.status == "optimal", (trial, k)
+            err = np.abs(a.f - b.f).max()
+            assert err <= 1e-12 * np.abs(b.f).max(), (trial, k, err)
+            if problem is not padded:  # check_kkt takes no constant rows
+                check_kkt(problem, a)
+            if k == 0:
+                assert a.iterations == 0, trial
+                assert a.active_rows == cold.active_rows, trial
+            iterations.append(a.iterations)
+    # Both outcomes occur: seeds that are the answer, and stale or
+    # rank-deficient ones from which the loop still has steps to take.
+    assert sum(i == 0 for i in iterations) >= 60
+    assert max(iterations) > 0
 
 
-def test_nearly_parallel_seed_rows_are_not_accepted(monkeypatch):
+def test_nearly_parallel_seed_rows_are_not_accepted():
     # f1 - e f2 >= 1 and f1 + e f2 >= 1 are both active at f = (1, 0)
     # with positive multipliers, but their Gram matrix has a pivot of
-    # about (2 e)^2, below GRAM_PIVOT_TOL: the dual loop decides.
+    # about (2 e)^2, below GRAM_PIVOT_TOL, so the seed drops row 1.  Row 0
+    # alone leaves row 1 violated by about 2 e^2, above the stopping
+    # bound, so the loop adds it back: the same path as a seed of row 0.
     e = 1e-5
     ldp = toy_ldp([[-1.0, e], [-1.0, -e]], [-1.0, -1.0])
-    Gn, hn = solver_module._scaled_rows(ldp.G, ldp.h)
-    assert solver_module._warm_active_set(Gn, hn, [0, 1], 1e-12) is None
     res = solve_qp(ldp, warm_start=[0, 1])
-    ref = dual_loop_only(monkeypatch, ldp, [0, 1])
+    ref = solve_qp(ldp, warm_start=[0])
+    assert (res.status, res.iterations, res.active_rows) == (
+        "optimal", 1, (0, 1))
+    assert ref.iterations == 1 and np.array_equal(res.f, ref.f)
+    np.testing.assert_allclose(res.f, [1.0, 0.0], atol=1e-10)
+    check_kkt(ldp, res)
+    # The same rows at a wide angle are kept and accepted outright.
+    wide = toy_ldp([[-1.0, 1.0], [-1.0, -1.0]], [-1.0, -1.0])
+    res = solve_qp(wide, warm_start=[0, 1])
     assert (res.status, res.iterations, res.active_rows) == (
         "optimal", 0, (0, 1))
-    assert np.array_equal(res.f, ref.f)
-    np.testing.assert_allclose(res.f, [1.0, 0.0], atol=1e-10)
-    # The same rows at a wide angle are accepted outright.
-    Gn, hn = solver_module._scaled_rows(np.array([[-1.0, 1.0], [-1.0, -1.0]]),
-                                        np.array([-1.0, -1.0]))
-    assert solver_module._warm_active_set(Gn, hn, [0, 1], 1e-12) is not None
+    np.testing.assert_allclose(res.f, [1.0, 0.0], atol=1e-12)
+    # Of two small pivots the first goes: rows e1, e1 + 5e-4 e2 and
+    # e2 + 3e-4 e3 have pivots^2 of about 2.5e-7 and 9e-8.  Without row 1
+    # the other two are orthogonal and optimal, so the seed is the answer.
+    far = toy_ldp(-np.array([[1.0, 0.0, 0.0], [1.0, 5e-4, 0.0],
+                             [0.0, 1.0, 3e-4]]), [-1.0, -1.0, -1.0])
+    res = solve_qp(far, warm_start=[0, 1, 2])
+    assert (res.status, res.iterations, res.active_rows) == (
+        "optimal", 0, (0, 2))
+    np.testing.assert_allclose(res.f, solve_qp(far).f, atol=1e-12)
+
+
+def test_warm_seed_drops_rows_of_zero_multiplier():
+    # f1 >= 1 and f2 <= 0 are orthogonal and both tight at f = (1, 0), but
+    # row 1's multiplier is 0: it leaves the seed, which keeps only rows
+    # of positive multiplier, and the answer comes at 0 iterations.
+    ldp = toy_ldp([[-1.0, 0.0], [0.0, 1.0]], [-1.0, 0.0])
+    res = solve_qp(ldp, warm_start=[0, 1])
+    assert (res.status, res.iterations, res.active_rows) == (
+        "optimal", 0, (0,))
+    np.testing.assert_allclose(res.f, [1.0, 0.0], atol=1e-12)
+    check_kkt(ldp, res)
 
 
 def test_non_integral_warm_start_solves_cold():
