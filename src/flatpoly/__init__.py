@@ -19,7 +19,6 @@ from .errors import (
     DegreeTooLow,
     DegreeOutOfRange,
     NotPositiveDefinite,
-    SingularFactor,
     NonFinite,
 )
 from .flat import (
@@ -91,7 +90,6 @@ __all__ = [
     "DegreeTooLow",
     "DegreeOutOfRange",
     "NotPositiveDefinite",
-    "SingularFactor",
     "NonFinite",
     "LtiSystem",
     "FlatMap",

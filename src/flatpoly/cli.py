@@ -285,7 +285,7 @@ def _write_trace(path, trace):
 
 
 def _polytope_violations(trace, params, tol=1e-6):
-    spec = pmsm_constraints(params, current_margin=0.0)
+    spec = pmsm_constraints(params)
     count = 0
     for row in trace:
         x = np.array([row.i_d, row.i_q])

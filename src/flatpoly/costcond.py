@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NotPositiveDefinite, SingularFactor
+from .errors import DimensionMismatch, NotPositiveDefinite
 from .flat import QuadraticCostSpec
 from .polybasis import AffinePolyVector
 
@@ -290,8 +290,6 @@ def _least_distance(K, k, k0, G, h, tags):
     """least_distance_transform on checked arrays: K symmetric, G and h
     finite, G with K's column count.  Certifies K by its Cholesky factor."""
     F = _cholesky(K)
-    if np.abs(np.diag(F)).min() <= 0:  # pragma: no cover - dpotrf guards this
-        raise SingularFactor("Cholesky factor has a zero diagonal entry")
     alpha0 = _alpha0(F, k)
     c = float(alpha0 @ K @ alpha0 + k @ alpha0 + k0)
     # Solve X F = G, i.e. F' X' = G'.

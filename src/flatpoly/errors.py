@@ -33,9 +33,5 @@ class NotPositiveDefinite(FlatpolyError):
         self.pivot = pivot
 
 
-class SingularFactor(FlatpolyError):
-    """The Cholesky factor is numerically singular (defensive check)."""
-
-
 class NonFinite(FlatpolyError):
     """A numerical integration or solve produced NaN or infinity."""

@@ -21,11 +21,11 @@ builds and validates that structure once (_Planner), together with every
 array that does not depend on the step: the cost's Gram blocks, the
 constraint rows' constant part and their part proportional to the speed.
 Each step then combines these with the speed, the measured currents and
-the torque reference, adds the landing rows and runs the least-distance
-transform.  The solve starts from the previous step's answer: the QP from
-its active rows, the LP from its optimal basis, which solve_lp accepts
-without pivoting while it stays optimal and otherwise takes a few dual
-simplex pivots from.
+the torque reference, adds the backed-off landing rows and runs the
+least-distance transform.  The solve starts from the previous step's
+answer: the QP from its active rows, the LP from its optimal basis, which
+solve_lp accepts without pivoting while it stays optimal and otherwise
+takes a few dual simplex pivots from.
 """
 
 from __future__ import annotations
@@ -118,15 +118,13 @@ class Scenario:
 
     The mechanical constants and PI gains are no part of the machine data;
     the defaults are tuned so the 0 -> 420 rad/s transient settles well
-    before the 8 N.m load step at t = 0.07 s.  current_margin backs the
-    planned current bounds off by a small amount so that the applied
-    samples stay inside the true polytope despite the frozen-speed model
-    error and the zero-order hold of the applied input.
+    before the 8 N.m load step at t = 0.07 s.  dt, J_m, b and the largest
+    |load_torque| also set the planner's landing back-off (_Planner).
 
-    Construction raises ValueError for a duration, b or current_margin that
-    is negative or not finite, a J_m or tau_limit that is not positive, PI
-    gains that are not finite, or a schedule whose times or values are not
-    finite.
+    Construction raises ValueError for a duration or b that is negative or
+    not finite, a J_m or tau_limit that is not positive, PI gains that are
+    not finite, or a schedule that is empty or whose times or values are
+    not finite.
     """
 
     T_horizon: float = 2e-3
@@ -141,7 +139,6 @@ class Scenario:
     k_p: float = 0.24
     k_i: float = 45.0
     tau_limit: float = 10.0
-    current_margin: float = 0.05
 
     def __post_init__(self):
         if not 0 < self.dt <= self.T_horizon:
@@ -156,14 +153,14 @@ class Scenario:
             raise ValueError("tau_limit must be strictly positive")
         if not (math.isfinite(self.k_p) and math.isfinite(self.k_i)):
             raise ValueError("k_p and k_i must be finite")
-        if not 0 <= self.current_margin < math.inf:
-            raise ValueError("current_margin must be finite and nonnegative")
         for name in ("speed_setpoints", "load_torque"):
             sched = tuple((float(t), float(v)) for t, v in getattr(self, name))
+            if not sched:
+                raise ValueError(f"{name} must not be empty")
             if not np.isfinite(sched).all():
                 raise ValueError(f"{name} times and values must be finite")
             times = [t for t, _ in sched]
-            if times != sorted(times) or (times and times[0] != 0.0):
+            if times != sorted(times) or times[0] != 0.0:
                 raise ValueError("schedules must start at t=0 and be sorted")
             object.__setattr__(self, name, sched)
 
@@ -263,19 +260,16 @@ def _cost_weights(p: PmsmParams, q, omega, tau_star):
     return np.array([a_d, a_q]), x_ref, x_star
 
 
-def pmsm_constraints(p: PmsmParams, current_margin=0.0) -> LinearConstraintSpec:
+def pmsm_constraints(p: PmsmParams) -> LinearConstraintSpec:
     """Inscribed-polytope linearization of the current and voltage circles.
 
     Currents: -I_max/2 <= i_d <= 0 and |i_q| <= (sqrt(3)/2) I_max; every
     vertex such as (-I_max/2, sqrt(3)/2 I_max) lies exactly on the circle
     i_d^2 + i_q^2 = I_max^2.  Voltages analogously with V_max.  Only
-    i_d <= 0 is sensible for this machine (field weakening).
-
-    current_margin > 0 tightens all four current rows by that many amperes
-    (planner back-off; the reported polytope for checking applied samples
-    uses margin zero).
+    i_d <= 0 is sensible for this machine (field weakening).  The closed
+    loop plans against this polytope and checks its applied samples
+    against it.
     """
-    mu = float(current_margin)
     s3 = math.sqrt(3.0) / 2.0
     G_x = np.array([
         [1.0, 0.0],
@@ -298,10 +292,10 @@ def pmsm_constraints(p: PmsmParams, current_margin=0.0) -> LinearConstraintSpec:
         [0.0, -1.0],
     ])
     g0 = np.array([
-        0.0 + mu,
-        -p.I_max / 2.0 + mu,
-        -s3 * p.I_max + mu,
-        -s3 * p.I_max + mu,
+        0.0,
+        -p.I_max / 2.0,
+        -s3 * p.I_max,
+        -s3 * p.I_max,
         -p.V_max / 2.0,
         -p.V_max / 2.0,
         -s3 * p.V_max,
@@ -419,13 +413,15 @@ class _Planner:
     The Bernstein coefficient p = 0 of a state-only row is a fact about the
     measured state, which pins x(0), and not a planner decision; those rows
     are left out by structure.  One-step landing rows are appended: the
-    first input sample is held for one sampling period, so the state the
-    plant lands on is x0 + Bd (u(0) - u0) (exact for the frozen-speed
-    model, whose constant input u0 = -L (A x0 + d) holds x0 still).
-    Constraining that point with the backed-off current bounds keeps the
-    applied samples inside the true polytope, which the planned polynomial
-    alone does not guarantee: it follows the frozen-speed model, not the
-    held input the plant receives.
+    first input sample is held for one sampling period, and the
+    frozen-speed model lands on x0 + Bd (u(0) - u0) (its constant input
+    u0 = -L (A x0 + d) holds x0 still).  The plant's speed moves by dw(t)
+    over the step, so its error obeys e' = A e + n_p dw (i_q, -i_d - K/L);
+    A is a damped rotation and |dw(t)| <= t wdot_max, so with the currents
+    within I_max, ||e(dt)|| <= (n_p dt^2 / 2) wdot_max (I_max + K/L), where
+    J_m wdot_max = (3/2) n_p K I_max + max |load| + b |omega|.  The landing
+    rows are tightened by this bound, landing_backoff, so the applied
+    samples stay inside the true polytope.
     """
 
     def __init__(self, p: PmsmParams, scenario: Scenario):
@@ -433,9 +429,14 @@ class _Planner:
         fm = flat_transform(pmsm_linearize(p, 0.0))
         cost = pmsm_cost(p, scenario.q, 0.0, 0.0, T)
         _, y = parameterize_outputs(fm, np.zeros(2), scenario.degree, T)
-        spec = pmsm_constraints(p, current_margin=scenario.current_margin)
+        spec = pmsm_constraints(p)
         _, x_cl, _, v_cl = _chain_coefficients(y, fm.r)
         self.p, self.q, self.dt, self.spec = p, scenario.q, scenario.dt, spec
+        self.drift = (0.5 * p.n_p * scenario.dt**2 * (p.I_max + p.K / p.L)
+                      / scenario.J_m)
+        self.tau_max = (torque_constant(p) * p.I_max
+                        + max(abs(v) for _, v in scenario.load_torque))
+        self.b = scenario.b
 
         # The cost, in _quad_block's terms; pmsm_cost has no input weight.
         self.x_cl, self.P = x_cl, cost.P
@@ -474,6 +475,10 @@ class _Planner:
         self.G_land, self.g_land = spec.G_x[current], spec.g0[current]
         self.tags = (tuple(rows[i] for i in keep)
                      + tuple((int(k), -1) for k in current))
+
+    def landing_backoff(self, omega):
+        """The class docstring's bound on ||e(dt)|| for a step at omega."""
+        return self.drift * (self.tau_max + self.b * abs(omega))
 
     def plan(self, x0, omega, tau_star):
         """The least-distance problem at one instant and the applied input
@@ -517,7 +522,8 @@ class _Planner:
         _require_finite_rows(G_poly, h_poly)
         Bd = _discretize(p, omega, self.dt)
         G_land = self.G_land @ (Bd @ self.u0_lin)
-        h_land = -(self.G_land @ x0 + self.g_land)
+        h_land = (-(self.G_land @ x0 + self.g_land)
+                  - self.landing_backoff(omega))
         _require_finite_rows(G_land, h_land)
         G = np.vstack([G_poly, G_land])
         h = np.concatenate([h_poly, h_land])

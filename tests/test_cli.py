@@ -208,6 +208,8 @@ def test_simulate_pmsm_unknown_key_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("doc", [
     pytest.param([1, 2], id="not-an-object"),
     pytest.param({"speed_setpoints": 420.0}, id="schedule-not-a-list"),
+    pytest.param({"speed_setpoints": []}, id="empty-schedule"),
+    pytest.param({"current_margin": 0.05}, id="removed-current-margin"),
     pytest.param({"machine": [8.0]}, id="machine-not-an-object"),
     pytest.param({"machine": {"I_maxx": 8.0}}, id="unknown-machine-key"),
     pytest.param({"duration": float("inf")}, id="infinite-duration"),

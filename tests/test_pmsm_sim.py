@@ -46,7 +46,7 @@ def default_traces():
 
 
 def polytope_residuals(trace, p):
-    """Worst signed residual of the margin-zero polytope over the trace."""
+    """Worst signed residual of the machine's polytope over the trace."""
     spec = pmsm_constraints(p)
     rows = []
     for row in trace:
@@ -138,10 +138,6 @@ def test_constraint_polytope_vertices_on_circles():
     )
     # origin strictly feasible
     assert np.all(spec.g0 < 0.0) or spec.g0[0] == 0.0
-    # margin tightens exactly the four current rows
-    tight = pmsm_constraints(p, current_margin=0.5)
-    np.testing.assert_allclose(tight.g0[:4] - spec.g0[:4], 0.5)
-    np.testing.assert_allclose(tight.g0[4:], spec.g0[4:])
 
 
 def test_step_plant_rest_stays_at_rest():
@@ -227,22 +223,28 @@ def test_pi_controller_behaviour():
 
 
 def test_closed_loop_zero_references_stay_quiet():
+    p = PmsmParams()
     scenario = Scenario(duration=0.01, speed_setpoints=((0.0, 0.0),),
-                        load_torque=((0.0, 0.0),), current_margin=0.0)
+                        load_torque=((0.0, 0.0),))
+    bound = landing_backoff(p, scenario, 0.0)
     trace = run_closed_loop(scenario, "qp")
     assert len(trace) == 100
-    assert max(abs(r.i_d) for r in trace) < 1e-6
+    assert all(-bound - 1e-6 <= r.i_d <= 0.0 for r in trace)
+    assert max(abs(r.i_q) for r in trace) < 1e-6
     assert max(abs(r.omega) for r in trace) < 1e-6
     assert all(r.status == "optimal" for r in trace)
 
 
 def test_closed_loop_margin_parks_id_at_backoff():
-    # With a planner margin the tightened i_d <= -margin row is active at
-    # zero load, so the loop idles at exactly the backed-off current.
+    # The landing row i_d <= -backoff is active at zero load, so the loop
+    # idles at exactly the back-off at rest: 0.0157 A for the stock drive.
+    p = PmsmParams()
     scenario = Scenario(duration=0.005, speed_setpoints=((0.0, 0.0),),
                         load_torque=((0.0, 0.0),))
+    bound = landing_backoff(p, scenario, 0.0)
+    assert bound == pytest.approx(0.0157, abs=5e-5)
     trace = run_closed_loop(scenario, "qp")
-    assert trace[-1].i_d == pytest.approx(-scenario.current_margin, abs=1e-6)
+    assert trace[-1].i_d == pytest.approx(-bound, abs=1e-6)
 
 
 def test_frozen_speed_model_error_within_current_budget():
@@ -279,6 +281,26 @@ def test_closed_loop_constraints_hold(default_traces):
     for kind in ("qp", "lp"):
         worst = polytope_residuals(default_traces[kind], p)
         assert worst <= 1e-6, f"{kind} violates by {worst}"
+
+
+def test_closed_loop_reversal_sweep_holds_constraints():
+    # Speed reversals under opposing load steps move the speed fastest
+    # while the q-current sits on its bound; without the landing back-off
+    # these runs leave the polytope by about 4e-3 A.
+    p = PmsmParams()
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        scenario = Scenario(
+            duration=0.06,
+            speed_setpoints=((0.0, rng.uniform(150.0, 420.0)),
+                             (0.025, -rng.uniform(150.0, 420.0))),
+            load_torque=((0.0, 0.0), (0.015, rng.uniform(2.0, 8.0)),
+                         (0.04, -rng.uniform(2.0, 8.0))))
+        for kind in ("qp", "lp"):
+            trace = run_closed_loop(scenario, kind)
+            assert all(r.status == "optimal" for r in trace)
+            worst = polytope_residuals(trace, p)
+            assert worst <= 1e-6, f"{kind} violates by {worst}"
 
 
 def test_closed_loop_all_solves_succeed(default_traces):
@@ -338,11 +360,16 @@ def test_closed_loop_trace_is_deterministic():
 
 
 def test_closed_loop_fallback_on_contradictory_margin():
-    scenario = Scenario(duration=0.002, current_margin=6.0)
-    trace = run_closed_loop(scenario, "qp")
-    assert len(trace) == 20
-    assert all(r.status == "fallback:infeasible" for r in trace)
-    assert all(r.v_d == 0.0 and r.v_q == 0.0 for r in trace)
+    # So small an inertia makes the back-off exceed I_max / 4, so the
+    # landing rows -I_max / 2 + backoff <= i_d <= -backoff contradict.
+    p = PmsmParams()
+    scenario = Scenario(duration=0.002, J_m=1e-6)
+    assert landing_backoff(p, scenario, 0.0) > p.I_max / 4.0
+    for kind in ("qp", "lp"):
+        trace = run_closed_loop(scenario, kind)
+        assert len(trace) == 20
+        assert all(r.status == "fallback:infeasible" for r in trace)
+        assert all(r.v_d == 0.0 and r.v_q == 0.0 for r in trace)
 
 
 def test_scenario_validation():
@@ -364,13 +391,12 @@ def test_scenario_rejects_bad_scalars():
         "tau_limit": [-1.0, 0.0, math.nan],
         "k_p": [math.inf, math.nan],
         "k_i": [-math.inf, math.nan],
-        "current_margin": [-1.0, math.inf, math.nan],
     }
     for field, values in bad.items():
         for value in values:
             with pytest.raises(ValueError, match=field):
                 Scenario(**{field: value})
-    Scenario(b=0.0, current_margin=0.0, k_p=0.0, k_i=0.0)
+    Scenario(b=0.0, k_p=0.0, k_i=0.0)
 
 
 def test_non_integral_and_non_finite_inputs_rejected():
@@ -382,7 +408,8 @@ def test_non_integral_and_non_finite_inputs_rejected():
         with pytest.raises(ValueError, match="n_p"):
             PmsmParams(n_p=value)
     PmsmParams(n_p=2.0)
-    bad = (((0.0, math.inf),), ((0.0, 1.0), (0.05, math.nan)),
+    # An empty schedule has no value at t = 0.
+    bad = ((), ((0.0, math.inf),), ((0.0, 1.0), (0.05, math.nan)),
            ((0.0, 1.0), (math.inf, 2.0)))
     for field in ("speed_setpoints", "load_torque"):
         for schedule in bad:
@@ -413,11 +440,22 @@ def expm_discretization(sys, dt):
     return E[:n, :n], S @ sys.B, S @ sys.d
 
 
+def landing_backoff(p, scenario, omega):
+    """The plant's largest one-step distance from the frozen-speed landing
+    point: (n_p dt^2 / 2) (I_max + K / L) times the largest speed slope,
+    (torque at I_max + largest |load| + friction at omega) / J_m."""
+    torque = 1.5 * p.n_p * p.K * p.I_max
+    load = max(abs(v) for _, v in scenario.load_torque)
+    slope = (torque + load + scenario.b * abs(omega)) / scenario.J_m
+    return p.n_p * scenario.dt**2 / 2.0 * slope * (p.I_max + p.K / p.L)
+
+
 def reference_ldp(p, scenario, x0, omega, tau_star):
     """The closed loop's least-distance problem built from the public
     pipeline at one instant: the conditioned cost and Bernstein rows, minus
     the rows whose gradient vanishes, plus the one-step landing rows of the
-    current constraints, discretized through the matrix exponential."""
+    current constraints, discretized through the matrix exponential and
+    tightened by landing_backoff."""
     T = scenario.T_horizon
     sys = pmsm_linearize(p, omega)
     fm = flat_transform(sys)
@@ -425,7 +463,7 @@ def reference_ldp(p, scenario, x0, omega, tau_star):
     _, y = parameterize_outputs(fm, x0, scenario.degree, T)
     x_poly, u_poly = parameterize_states_inputs(y, fm)
     pc = condition_cost(x_poly, u_poly, cost)
-    spec = pmsm_constraints(p, current_margin=scenario.current_margin)
+    spec = pmsm_constraints(p)
     acs = condition_constraints(x_poly, u_poly, spec, T)
     norms = np.linalg.norm(acs.G, axis=1)
     keep = norms > 1e-10 * max(1.0, norms.max())
@@ -436,7 +474,8 @@ def reference_ldp(p, scenario, x0, omega, tau_star):
     acs = AffineConstraintSet(
         G=np.vstack([acs.G[keep], spec.G_x[current] @ (Bd @ u0_lin)]),
         h=np.concatenate([acs.h[keep],
-                          -(spec.G_x[current] @ land_c0 + spec.g0[current])]),
+                          -(spec.G_x[current] @ land_c0 + spec.g0[current])
+                          - landing_backoff(p, scenario, omega)]),
         tags=tuple(t for t, k in zip(acs.tags, keep) if k)
         + tuple((int(k), -1) for k in np.flatnonzero(current)),
     )
@@ -451,6 +490,45 @@ def test_discretize_matches_matrix_exponential(omega):
     ref = expm_discretization(pmsm_linearize(p, omega), dt)[1]
     err = np.abs(got - ref).max()
     assert err <= 1e-13 * np.abs(ref).max(), f"Bd: {err:.2e}"
+
+
+@pytest.mark.parametrize("load_torque", [
+    pytest.param(((0.0, 0.0), (0.07, 8.0)), id="stock-load"),
+    pytest.param(((0.0, 0.0),), id="no-load"),
+])
+def test_landing_backoff_bounds_one_step_error(load_torque):
+    # From a state in the polytope, at any speed up to twice rated, with a
+    # voltage in its polytope and a load within the schedule's largest,
+    # the plant lands within the planner's back-off of the frozen-speed
+    # landing point.  The bound takes the currents within I_max over the
+    # step, so only draws that land inside the polytope count, as the
+    # landing rows make every applied step do.
+    p = PmsmParams()
+    scenario = Scenario(load_torque=load_torque)
+    planner = _Planner(p, scenario)
+    spec = pmsm_constraints(p)
+    current = spec.G_x.any(axis=1)
+    load = max(abs(v) for _, v in load_torque)
+    s3 = math.sqrt(3.0) / 2.0
+    rng = np.random.default_rng(19)
+    landed = 0
+    for _ in range(2000):
+        x0 = np.array([rng.uniform(-p.I_max / 2.0, 0.0),
+                       rng.uniform(-s3 * p.I_max, s3 * p.I_max)])
+        omega = rng.uniform(-2.0, 2.0) * p.rated_speed
+        u = np.array([rng.uniform(-p.V_max / 2.0, p.V_max / 2.0),
+                      rng.uniform(-s3 * p.V_max, s3 * p.V_max)])
+        Ad, Bd, dd = expm_discretization(pmsm_linearize(p, omega),
+                                         scenario.dt)
+        land = Ad @ x0 + Bd @ u + dd
+        if np.any(spec.G_x[current] @ land + spec.g0[current] > 0.0):
+            continue
+        landed += 1
+        out = step_plant([*x0, omega], u, rng.uniform(-load, load), p,
+                         scenario.J_m, scenario.b, scenario.dt)
+        err = np.linalg.norm(out[:2] - land)
+        assert err <= planner.landing_backoff(omega), (x0, omega, u)
+    assert landed >= 1000
 
 
 def assert_close(got, ref, name):
