@@ -8,6 +8,11 @@ Three subcommands:
   JSON model file; write a solution JSON and a sampled trajectory CSV.
 * ``simulate-pmsm``: run the closed-loop motor scenario and write trace CSVs.
 
+Every CSV cell is a float as format(x, ".10g") writes it, an integer or a
+status word, comma separated with no quoting, one row per line.  The
+argument parser is built once per process, so in-process callers (tests,
+library use, the benchmark) pay for it once.
+
 Exit codes: 0 success; 1 infeasible or non-optimal solve; 2 argument,
 parse, or shape errors; 3 non-convex conditioned cost.  The environment
 variable FLATPOLY_LOG (off | info | debug) routes diagnostics to standard
@@ -17,13 +22,12 @@ error; standard output carries only data.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
 import sys
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -165,9 +169,17 @@ class ModelConfig:
             return cls.from_dict(json.load(fh))
 
 
-def _fmt(x):
-    """Locale-independent scalar formatting for CSV cells."""
-    return format(float(x), ".10g")
+def _write_csv(path, header, rows, formats):
+    """Write a CSV file: the header, then one line per row in one call.
+
+    formats holds one printf-style format per column.  '%.10g' % x is the
+    text of format(x, '.10g') for every float, and no cell needs quoting,
+    so this writes what csv.writer would, in one formatting pass.
+    """
+    line = ",".join(formats) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n"
+                 + "".join([line % tuple(row) for row in rows]))
 
 
 def cmd_delta(args):
@@ -224,8 +236,7 @@ def cmd_solve(args):
         }
 
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     log.info("solution written to %s", args.out)
 
     failed = [n for n, r in results.items() if r.status != "optimal"]
@@ -238,21 +249,14 @@ def cmd_solve(args):
     csv_path = os.path.splitext(args.out)[0] + ".csv"
     primary = results["qp"] if "qp" in results else results["lp"]
     t_grid = np.linspace(0.0, config.cost.T, TRAJECTORY_SAMPLES)
-    x_vals = x_poly(primary.alpha, t_grid)
-    u_vals = u_poly(primary.alpha, t_grid)
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["t"]
-            + [f"x{i + 1}" for i in range(fm.n)]
-            + [f"u{j + 1}" for j in range(fm.m)]
-        )
-        for idx, t in enumerate(t_grid):
-            writer.writerow(
-                [_fmt(t)]
-                + [_fmt(v) for v in x_vals[:, idx]]
-                + [_fmt(v) for v in u_vals[:, idx]]
-            )
+    table = np.vstack([t_grid, x_poly(primary.alpha, t_grid),
+                       u_poly(primary.alpha, t_grid)]).T
+    _write_csv(
+        csv_path,
+        ["t"] + [f"x{i + 1}" for i in range(fm.n)]
+        + [f"u{j + 1}" for j in range(fm.m)],
+        table.tolist(), ["%.10g"] * table.shape[1],
+    )
     log.info("trajectory written to %s", csv_path)
     return EXIT_OK
 
@@ -272,28 +276,22 @@ def _scenario_from_file(path):
 
 
 def _write_trace(path, trace):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "id", "iq", "vd", "vq", "omega", "tau",
-                         "tau_ref", "J", "iters", "status"])
-        for row in trace:
-            writer.writerow([
-                _fmt(row.t), _fmt(row.i_d), _fmt(row.i_q), _fmt(row.v_d),
-                _fmt(row.v_q), _fmt(row.omega), _fmt(row.tau),
-                _fmt(row.tau_ref), _fmt(row.J), row.iterations, row.status,
-            ])
+    _write_csv(
+        path,
+        ["t", "id", "iq", "vd", "vq", "omega", "tau", "tau_ref", "J",
+         "iters", "status"],
+        [(row.t, row.i_d, row.i_q, row.v_d, row.v_q, row.omega, row.tau,
+          row.tau_ref, row.J, row.iterations, row.status) for row in trace],
+        ["%.10g"] * 9 + ["%d", "%s"],
+    )
 
 
 def _polytope_violations(trace, params, tol=1e-6):
+    """Number of trace rows whose currents and voltages leave the polytope."""
     spec = pmsm_constraints(params)
-    count = 0
-    for row in trace:
-        x = np.array([row.i_d, row.i_q])
-        u = np.array([row.v_d, row.v_q])
-        vals = spec.G_x @ x + spec.G_u @ u + spec.g0
-        if np.any(vals > tol):
-            count += 1
-    return count
+    xu = np.array([(row.i_d, row.i_q, row.v_d, row.v_q) for row in trace])
+    vals = xu[:, :2] @ spec.G_x.T + xu[:, 2:] @ spec.G_u.T + spec.g0
+    return int(np.count_nonzero((vals > tol).any(axis=1)))
 
 
 def cmd_simulate_pmsm(args):
@@ -316,7 +314,9 @@ def cmd_simulate_pmsm(args):
     return EXIT_OK
 
 
+@cache
 def build_parser():
+    """The argparse parser for all three subcommands, built once."""
     parser = argparse.ArgumentParser(
         prog="flatpoly",
         description="Polynomial trajectory optimization for constrained "

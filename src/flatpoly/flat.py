@@ -313,7 +313,11 @@ def flat_transform(sys: LtiSystem) -> FlatMap:
 
 def _check_weight(name, M, size):
     M = _as_matrix(M, name, (size, size))
-    if not np.allclose(M, M.T, atol=1e-10 * (1 + np.abs(M).max())):
+    # np.allclose(M, M.T, atol=...) written out; _as_matrix has already
+    # rejected the non-finite entries that allclose treats specially.
+    absM = np.abs(M)
+    atol = 1e-10 * (1 + absM.max())
+    if not (np.abs(M - M.T) <= atol + 1e-5 * absM.T).all():
         raise DimensionMismatch(f"{name} must be symmetric")
     return 0.5 * (M + M.T)
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DegreeOutOfRange, DimensionMismatch
 from .flat import LinearConstraintSpec
@@ -84,6 +83,10 @@ def compute_delta(N):
     """
     if not 1 <= N <= MAX_DEGREE:
         raise DegreeOutOfRange(f"degree must be in 1..{MAX_DEGREE}, got {N}")
+    # Imported here, not at module level: solve and the closed loop never
+    # call this, so they do not pay for loading scipy.optimize.
+    import scipy.optimize
+
     i = np.arange(1, N + 1)
     crit = [
         scipy.optimize.brentq(lambda s: np.sum(1.0 / (s - i / N)),

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import shutil
@@ -9,6 +11,9 @@ import pytest
 
 import flatpoly
 from flatpoly import cli
+from flatpoly.flat import flat_transform
+from flatpoly.pmsm_sim import PmsmParams, Scenario, TraceRow, run_closed_loop
+from flatpoly.polybasis import parameterize_outputs, parameterize_states_inputs
 
 
 def model_doc(constraints=None, zero_cost=False):
@@ -266,13 +271,18 @@ def test_console_script_installed(tmp_path):
     assert proc.stderr == ""
 
 
+def child_env():
+    """The environment for a child process that imports this flatpoly."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flatpoly.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_log_env_routed_to_stderr(tmp_path):
     # Run the entry point of the imported package in a child process, so
     # the test needs no installed console script.
     exe = [sys.executable, "-m", "flatpoly.cli"]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(flatpoly.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = child_env()
     proc = subprocess.run([*exe, "delta", "--max-n", "1"],
                           capture_output=True, text=True,
                           env={**env, "FLATPOLY_LOG": "bogus"})
@@ -287,3 +297,90 @@ def test_log_env_routed_to_stderr(tmp_path):
     )
     assert proc2.returncode == 0
     assert "solution written" in proc2.stderr
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # A child process, because other test modules import scipy.optimize.
+    code = ("import sys, flatpoly, flatpoly.cli; "
+            "assert 'scipy.optimize' not in sys.modules, 'loaded at import'; "
+            "print(flatpoly.compute_delta(2))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0.125"
+
+
+def reference_csv(header, rows):
+    """The CSV rule the files follow: csv.writer, floats as '.10g'."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(float(x), ".10g") if isinstance(x, float)
+                         else x for x in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_csv_format_is_pinned(tmp_path):
+    constraints = {"G_x": [[0.0, 0.0]], "G_u": [[1.0]], "g0": [-0.8]}
+    model = write_json(tmp_path / "model.json", model_doc(constraints))
+    out = tmp_path / "sol.json"
+    assert cli.main(["solve", "--model", model, "--out", str(out)]) == 0
+    alpha = np.array(json.loads(out.read_text())["qp"]["alpha"])
+    config = cli.ModelConfig.from_file(model)
+    fm = flat_transform(config.system)
+    _, y = parameterize_outputs(fm, config.x0, config.degree, config.cost.T)
+    x_poly, u_poly = parameterize_states_inputs(y, fm)
+    t = np.linspace(0.0, config.cost.T, cli.TRAJECTORY_SAMPLES)
+    rows = [[float(v) for v in col] for col in
+            zip(t, *x_poly(alpha, t), *u_poly(alpha, t))]
+    assert (tmp_path / "sol.csv").read_bytes() == reference_csv(
+        ["t", "x1", "x2", "u1"], rows)
+
+    scenario = write_json(tmp_path / "scn.json", {"duration": 0.003})
+    assert cli.main(["simulate-pmsm", "--scenario", scenario,
+                     "--solver", "lp", "--out", str(tmp_path / "tr")]) == 0
+    trace = run_closed_loop(Scenario(duration=0.003), "lp")
+    assert (tmp_path / "tr-lp.csv").read_bytes() == reference_csv(
+        ["t", "id", "iq", "vd", "vq", "omega", "tau", "tau_ref", "J",
+         "iters", "status"],
+        [[r.t, r.i_d, r.i_q, r.v_d, r.v_q, r.omega, r.tau, r.tau_ref, r.J,
+          r.iterations, r.status] for r in trace])
+
+    rows = [[-0.0, 1e-300, 1e20, 7, "optimal"],
+            [1 / 3, -2.5e-7, float("inf"), -12, "fallback:infeasible"],
+            [float("nan"), 123456789.0123, -1e20, 0, "iteration_limit"]]
+    path = tmp_path / "direct.csv"
+    cli._write_csv(path, ["a", "b", "c", "n", "s"], rows,
+                   ["%.10g"] * 3 + ["%d", "%s"])
+    assert path.read_bytes() == reference_csv(["a", "b", "c", "n", "s"], rows)
+
+
+def test_reused_parser_keeps_no_state(tmp_path):
+    model = write_json(tmp_path / "model.json", model_doc())
+    for solver in ("both", "lp", "qp"):
+        out = tmp_path / f"{solver}.json"
+        argv = ["solve", "--model", model, "--out", str(out)]
+        if solver != "qp":  # qp is the default
+            argv[1:1] = ["--solver", solver]
+        assert cli.main(argv) == 0
+        keys = set(json.loads(out.read_text()))
+        assert keys - {"suboptimality"} == (
+            {"qp", "lp"} if solver == "both" else {solver})
+
+
+def test_polytope_violations_counts_rows():
+    params = PmsmParams()
+    spec = cli.pmsm_constraints(params)
+    rng = np.random.default_rng(3)
+    trace = [TraceRow(t=0.0, i_d=i_d, i_q=i_q, v_d=v_d, v_q=v_q, omega=0.0,
+                      tau=0.0, tau_ref=0.0, J=0.0, iterations=0,
+                      solver="qp", status="optimal")
+             for i_d, i_q, v_d, v_q in rng.uniform(
+                 -1.2, 1.2, (300, 4)) * [params.I_max, params.I_max,
+                                         params.V_max, params.V_max]]
+    expected = sum(
+        bool(np.any(spec.G_x @ [r.i_d, r.i_q] + spec.G_u @ [r.v_d, r.v_q]
+                    + spec.g0 > 1e-6)) for r in trace)
+    assert 0 < expected < len(trace)
+    assert cli._polytope_violations(trace, params) == expected

@@ -180,6 +180,30 @@ def test_cost_spec_validation():
                              x_star=[1.0, 2.0], T=1.0)
     np.testing.assert_allclose(spec.x_ref, spec.x_star)
 
+    # The symmetry check decides as np.allclose(M, M.T, atol) does: seeded
+    # weights with one entry moved to either side of the tolerance, at
+    # scales 1e-12, 1 and 1e12, and a zero matrix.
+    rng = np.random.default_rng(11)
+    weights = [np.zeros((3, 3))]
+    for scale in (1e-12, 1.0, 1e12):
+        for f in rng.uniform(0.5, 1.5, 8):
+            A = rng.standard_normal((3, 3))
+            M = (A @ A.T + 3 * np.eye(3)) * scale
+            M[0, 1] += f * (1e-10 * (1 + np.abs(M).max()) + 1e-5 * abs(M[1, 0]))
+            weights.append(M)
+    decisions = []
+    for M in weights:
+        symmetric = np.allclose(M, M.T, atol=1e-10 * (1 + np.abs(M).max()))
+        decisions.append(symmetric)
+        for role in ("Q", "R", "P"):
+            kw = {"Q": np.eye(3), "R": np.eye(3), "P": np.eye(3), role: M}
+            if symmetric:
+                QuadraticCostSpec(**kw, x_star=np.zeros(3), T=1.0)
+            else:
+                with pytest.raises(DimensionMismatch, match="symmetric"):
+                    QuadraticCostSpec(**kw, x_star=np.zeros(3), T=1.0)
+    assert decisions.count(True) >= 6 and decisions.count(False) >= 6
+
 
 def test_constraint_spec_validation():
     with pytest.raises(DimensionMismatch):
