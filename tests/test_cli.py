@@ -12,7 +12,9 @@ import pytest
 import flatpoly
 from flatpoly import cli
 from flatpoly.flat import flat_transform
-from flatpoly.pmsm_sim import PmsmParams, Scenario, TraceRow, run_closed_loop
+from flatpoly.pmsm_sim import (
+    PmsmParams, Scenario, TraceRow, pmsm_constraints, run_closed_loop,
+)
 from flatpoly.polybasis import parameterize_outputs, parameterize_states_inputs
 
 
@@ -371,7 +373,7 @@ def test_reused_parser_keeps_no_state(tmp_path):
 
 def test_polytope_violations_counts_rows():
     params = PmsmParams()
-    spec = cli.pmsm_constraints(params)
+    spec = pmsm_constraints(params)
     rng = np.random.default_rng(3)
     trace = [TraceRow(t=0.0, i_d=i_d, i_q=i_q, v_d=v_d, v_q=v_q, omega=0.0,
                       tau=0.0, tau_ref=0.0, J=0.0, iterations=0,

@@ -189,7 +189,8 @@ def test_cost_spec_validation():
         for f in rng.uniform(0.5, 1.5, 8):
             A = rng.standard_normal((3, 3))
             M = (A @ A.T + 3 * np.eye(3)) * scale
-            M[0, 1] += f * (1e-10 * (1 + np.abs(M).max()) + 1e-5 * abs(M[1, 0]))
+            tol = 1e-10 * (1 + np.abs(M).max()) + 1e-5 * abs(M[1, 0])
+            M[0, 1] += f * tol
             weights.append(M)
     decisions = []
     for M in weights:
