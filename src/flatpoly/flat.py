@@ -69,6 +69,9 @@ class LtiSystem:
     n: int = field(init=False)
     m: int = field(init=False)
     controllable: bool = field(init=False)
+    # The controllability matrix's rank and singular values, which
+    # brunovsky_indices reuses rather than recomputing the SVD.
+    _controllability: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _as_matrix(self.A, "A")
@@ -92,8 +95,9 @@ class LtiSystem:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
-        _, rank, _ = controllability_matrix_raw(A, B)
+        _, rank, sv = controllability_matrix_raw(A, B)
         object.__setattr__(self, "controllable", rank == n)
+        object.__setattr__(self, "_controllability", (rank, sv))
 
 
 def controllability_matrix_raw(A, B):
@@ -122,11 +126,13 @@ def controllability_matrix(sys: LtiSystem):
     return controllability_matrix_raw(sys.A, sys.B)[:2]
 
 
-def _greedy_chain_selection(A, B):
+def _greedy_chain_selection(A, B, rank, sv):
     """Greedy selection of independent columns in the order
-    b1..bm, Ab1..Abm, A^2 b1..  Returns the per-input chain lengths."""
+    b1..bm, Ab1..Abm, A^2 b1..  Returns the per-input chain lengths.
+
+    rank and sv are those of controllability_matrix_raw(A, B).
+    """
     n, m = B.shape
-    _, rank, sv = controllability_matrix_raw(A, B)
     if rank < n:
         raise UncontrollableSystem(
             f"controllability matrix has rank {rank} < n = {n}"
@@ -175,7 +181,7 @@ def brunovsky_indices(sys: LtiSystem):
     UncontrollableSystem
         If rank [B, AB, ...] < n, or some input contributes no chain.
     """
-    r = _greedy_chain_selection(sys.A, sys.B)
+    r = _greedy_chain_selection(sys.A, sys.B, *sys._controllability)
     if any(ri == 0 for ri in r):
         bad = [i for i, ri in enumerate(r) if ri == 0]
         raise UncontrollableSystem(

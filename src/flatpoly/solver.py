@@ -5,9 +5,13 @@ Idnani's dual active-set method (Math. Prog. 27, 1983), which the identity
 Hessian makes short.  From f = 0, or from a warm-start active set, it adds
 the most violated row (smallest index on ties), first dropping any active
 row whose multiplier would reach zero on the way.  After every change one
-QR factorization of the active rows gives the exact minimum-norm point on
-them, so stationarity, complementarity and dual feasibility hold to
-rounding at every iterate and nothing is left to polish at the end.  It
+Householder QR factorization of the active rows, Gn_A' = Q R by LAPACK's
+dgeqrf, gives the exact minimum-norm point on them: R' y = hn_A, the
+multipliers u = -R^-1 y and f = Q [y; 0], with Q applied through its
+reflectors by dormqr and never formed.  f is taken as Q [y; 0] and not
+as -Gn_A' u, which would multiply the error in u by cond(Gn_A).  So
+stationarity, complementarity and dual feasibility hold to rounding at
+every iterate and nothing is left to polish at the end.  It
 stops once no row is violated by more than 1e-12 max(1, |h|_inf) on the
 scaled rows, a bound that grows with h as rounding does.  The iteration
 count is one per add or drop.  A warm start seeds the active set (the
@@ -207,8 +211,15 @@ def _dual_active_set(Gn, hn, max_iter, warm_start):
     nonpositive multiplier.  Each iteration then adds the most violated
     row, or drops the active row whose multiplier reaches zero first on
     the way there; ties go to the smallest row index.  After each change
-    one QR factorization of the active rows gives f and u exactly.  A seed
-    that is still optimal passes the first stopping test: 0 iterations.
+    dgeqrf factors the k + 1 rows Gn_A' = Q R in place; R is the upper
+    triangle of the factor's leading rows, which is all that _solve_upper
+    reads.  R' y = hn_A and R u = -y give the multipliers, and dormqr
+    applies Q's reflectors to [y; 0] for f = Q [y; 0], which holds the
+    active rows to rounding whatever cond(Gn_A) is; -Gn_A' u would not.
+    With k = n the factor is n x (n + 1): row p's coordinates are its last
+    column, and R[:n, :n] r = R[:n, n] expresses row p in the active rows.
+    A seed that is still optimal passes the first stopping test: 0
+    iterations.
 
     Returns _solve's core tuple with status 'optimal', 'infeasible' or
     'iteration_limit', the last before a change that would take the count
@@ -261,13 +272,21 @@ def _dual_active_set(Gn, hn, max_iter, warm_start):
             iters += 1
             k = active.size
             rows = np.append(active, p)
-            Q, R = np.linalg.qr(Gn[rows].T)
+            # Gn[rows] is a fresh C-ordered copy, so its transpose is in
+            # Fortran order and LAPACK factors it in place.
+            R, tau, _, _ = scipy.linalg.lapack.dgeqrf(Gn[rows].T,
+                                                      overwrite_a=1)
             if k < n and abs(R[k, k]) > DEPENDENT_ROW_TOL:
-                y = _solve_upper(R, hn[rows], trans=True)
-                u_full = -_solve_upper(R, y)
+                y = _solve_upper(R[:k + 1], hn[rows], trans=True)
+                u_full = -_solve_upper(R[:k + 1], y)
                 blocking = np.flatnonzero(u_full[:k] < 0.0)
                 if blocking.size == 0:
-                    active, f, u = rows, Q @ y, u_full
+                    # f = Q [y; 0] through the reflectors, never forming Q.
+                    y_n = np.zeros((n, 1))
+                    y_n[:k + 1, 0] = y
+                    f = scipy.linalg.lapack.dormqr("L", "N", R, tau, y_n,
+                                                   1, overwrite_c=1)[0][:, 0]
+                    active, u = rows, u_full
                     break
                 # Along the segment from u to u_full, the first multiplier
                 # to reach zero leaves the active set.

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import flatpoly
+import flatpoly.flat as flat_module
 from flatpoly import cli
 from flatpoly.flat import flat_transform
 from flatpoly.pmsm_sim import (
@@ -88,6 +89,23 @@ def test_solve_writes_solution_and_trajectory(tmp_path):
     assert float(first[0]) == 0.0
     assert float(first[1]) == pytest.approx(1.0)  # x1(0) = x0
     assert float(csv_lines[-1].split(",")[0]) == pytest.approx(1.0)
+
+
+def test_solve_computes_controllability_svd_once(tmp_path, monkeypatch):
+    # LtiSystem keeps the rank and singular values of its controllability
+    # matrix, and flat_transform's chain selection reuses them.
+    calls = []
+    raw = flat_module.controllability_matrix_raw
+
+    def counted(A, B):
+        calls.append(A.shape)
+        return raw(A, B)
+
+    monkeypatch.setattr(flat_module, "controllability_matrix_raw", counted)
+    model = write_json(tmp_path / "model.json", model_doc())
+    assert cli.main(["solve", "--model", model, "--solver", "both",
+                     "--out", str(tmp_path / "sol.json")]) == 0
+    assert calls == [(2, 2)]
 
 
 def test_solve_qp_only_output(tmp_path):

@@ -250,6 +250,31 @@ def test_infeasible_rows_detected():
     assert solve_lp(ldp).status == "infeasible"
 
 
+@pytest.mark.parametrize("p_row, h_p, expected", [
+    # Row 2 is 0.894 row 0 - 0.447 row 1: raising its multiplier lowers
+    # row 0's, which reaches zero, so row 0 is dropped (iteration 3) and
+    # row 2 joins row 1 (iteration 4).
+    ([2.0, -1.0], -0.8, ("optimal", 4, (1, 2))),
+    # Row 2 is -0.707 (row 0 + row 1): no multiplier falls as its own
+    # grows, so no f satisfies all three rows.
+    ([-1.0, -1.0], 0.5, ("infeasible", 3, ())),
+])
+def test_qp_violated_row_in_span_of_n_active_rows(p_row, h_p, expected):
+    # Cold, rows 0 and 1 are added first and make f = (-1, -1) with n = 2
+    # rows active.  Row 2 is then violated and lies in their span, so the
+    # QR factor of the three rows has n rows and n + 1 columns, and the
+    # loop reads row 2's coordinates from its last column.
+    p = np.asarray(p_row) / np.linalg.norm(p_row)
+    ldp = toy_ldp([[1.0, 0.0], [0.0, 1.0], p], [-1.0, -1.0, h_p])
+    res = solve_qp(ldp)
+    assert (res.status, res.iterations, res.active_rows) == expected
+    if res.status == "optimal":
+        # y = -1 and 2x - y = -0.8 sqrt(5), with x <= -1 slack.
+        x = (-0.8 * np.sqrt(5.0) - 1.0) / 2.0
+        np.testing.assert_allclose(res.f, [x, -1.0], rtol=1e-14)
+        check_kkt(ldp, res)
+
+
 def test_violated_constant_row_is_infeasible():
     ldp = toy_ldp([[0.0, 0.0], [1.0, 0.0]], [-1.0, 1.0])
     assert solve_qp(ldp).status == "infeasible"
@@ -677,6 +702,21 @@ def test_lp_and_qp_agree_on_hard_infeasible_benchmark_rows(name):
     ldp = benchmark_rows(name)
     assert solve_lp(ldp).status == "infeasible"
     assert solve_qp(ldp).status == "infeasible"
+
+
+def test_qp_point_holds_its_active_rows_on_ill_conditioned_rows():
+    # The least-distance rows of a plan_solve model (perfbench/gen.py, seed
+    # 0, op 1174: large_q slice, N = 7) whose 11 active rows are
+    # ill-conditioned.  f = Q [y; 0] from their QR factor holds them to
+    # 2.7e-11 on the unit rows.  f = -Gn_A' u from the same multipliers
+    # misses them by 2.7e-6, because cond(Gn_A) amplifies the error in u,
+    # and the op's trajectory then breaks a constraint row.
+    ldp = benchmark_rows("plan_solve_seed0_op1174_ldp.json")
+    res = solve_qp(ldp)
+    assert res.status == "optimal" and len(res.active_rows) == 11
+    Gn, hn = solver_module._scaled_rows(ldp.G, ldp.h)
+    active = list(res.active_rows)
+    assert np.abs(Gn[active] @ res.f - hn[active]).max() <= 1e-9
 
 
 def test_lp_slack_start_stall_is_named(monkeypatch):
