@@ -204,16 +204,10 @@ def pmsm_linearize(p: PmsmParams, omega) -> LtiSystem:
     Valid for |omega| up to about twice rated speed; beyond that the
     frozen-speed assumption degrades faster than the horizon.
     """
-    A, d = _frozen_speed_model(p, omega)
-    return LtiSystem(A=A, B=np.eye(2) / p.L, d=d)
-
-
-def _frozen_speed_model(p: PmsmParams, omega):
-    """(A, d) of pmsm_linearize, without building and checking the system."""
     a = p.n_p * float(omega)
     A = np.array([[-p.R / p.L, a], [-a, -p.R / p.L]])
     d = np.array([0.0, -a * p.K / p.L])
-    return A, d
+    return LtiSystem(A=A, B=np.eye(2) / p.L, d=d)
 
 
 def pmsm_cost(p: PmsmParams, q, omega, tau_star, T) -> QuadraticCostSpec:
@@ -361,18 +355,20 @@ def _discretize(p: PmsmParams, omega, dt):
     e^{A dt} = e^{-R dt / L} [[cos, sin], [-sin, cos]](n_p w dt); R > 0
     makes A invertible, so S = int_0^dt e^{A s} ds = A^{-1} (e^{A dt} - I).
     Returns the input map Bd = S B = S / L of x(dt) = e^{A dt} x0 + Bd u
-    + S d for constant u.
+    + S d for constant u, or NaN entries where the rotation n_p w dt
+    overflows, which the planner's row check then rejects.
     """
-    A, d = _frozen_speed_model(p, omega)
-    sigma, a = p.R / p.L, A[0, 1]
+    sigma, a = p.R / p.L, p.n_p * float(omega)
     theta = a * dt
+    if not math.isfinite(theta):  # math.cos would raise on it
+        return np.full((2, 2), math.nan)
     decay = math.exp(-sigma * dt)
     cos, sin = math.cos(theta), math.sin(theta)
     # e^{A dt} - I without cancellation: decay cos - 1 is
     # expm1(-sigma dt) cos - 2 sin^2(theta / 2).
     diag = math.expm1(-sigma * dt) * cos - 2.0 * math.sin(0.5 * theta) ** 2
     E_minus_I = np.array([[diag, decay * sin], [-decay * sin, diag]])
-    A_inv = np.array([[-sigma, -a], [a, -sigma]]) / (sigma**2 + a**2)
+    A_inv = np.array([[-sigma, -a], [a, -sigma]]) / (sigma * sigma + a * a)
     S = A_inv @ E_minus_I
     return S / p.L
 
@@ -392,23 +388,35 @@ class _Planner:
       each axis are that axis's coefficients 1..N, so K = a_d K_d + a_q K_q
       + K_P with the per-axis Gram blocks K_d, K_q and the terminal block
       K_P; and Ws x_cl, which k uses at every step;
-    - the Bernstein rows G = G0 + omega G1 of the polynomial constraints,
-      less the rows left out below: A = A0 + a J with a = n_p omega, so
-      the input coefficients are u_cl = U0 + (L a) Ua, and G1 = L n_p Ga;
-    - the map from the constraints' values at t = 0 to h: the constant
-      term of every constraint polynomial is its value at t = 0, and
-      column 0 of the Bernstein matrix is all ones, so h repeats it;
+    - Theta, every constraint row of a step as one linear map of the
+      step's scalars: G = reshape(Theta @ [1, L a, Bd00, Bd01, Bd10,
+      Bd11]) with a = n_p omega and Bd from _discretize.  A = A0 + a J, so
+      the input coefficients are u_cl = U0 + (L a) Ua and the polynomial
+      rows are the Bernstein rows G0 + (L a) Ga, less the rows left out
+      below; columns 0 and 1 of Theta hold G0 and Ga.  The landing rows
+      are G_land Bd u0_lin, so the column of Bd_ij holds the outer product
+      G_land[:, i] u0_lin[j];
+    - U and C, the applied-input constant and the right-hand side as linear
+      maps of phi = [1, x0_d, x0_q, a x0_d, a x0_q, a K / L]: u0 = U phi
+      and h = -C phi, less landing_backoff on the landing rows.  A
+      polynomial row of C gives its constraint's value at t = 0,
+      G_x x0 + G_u u0 + g0: that is the constant term of the constraint's
+      polynomial, and column 0 of the Bernstein matrix is all ones, so
+      every row of one constraint repeats it.  A landing row of C gives
+      its current row's value G_x x0 + g0 at the measured state.  phi
+      carries the back-EMF term a K / L and not a itself, so it overflows
+      at the speeds where pmsm_linearize's drift does and the row check
+      rejects the steps the public pipeline rejects;
     - u0_lin: x(0) is pinned, so u(0) = u0 + u0_lin @ alpha with a
       constant u0_lin at every speed.
 
     A step then computes only the cost weights at its speed and torque
     reference, k and k0 (through costcond._linear_terms, which
-    condition_cost also uses), the applied-input constant u0, the exact
-    discretization and the 4 landing rows, and the least-distance
-    transform: one Cholesky factorization and three triangular solves.
-    On the stock experiment every step's problem is, to the last bit, the
-    one condition_cost, condition_constraints and least_distance_transform
-    build from the same polynomials.
+    condition_cost also uses), phi, the exact discretization, the three
+    products with Theta, U and C, and the least-distance transform: one
+    Cholesky factorization and three triangular solves.  The problem
+    agrees with the one condition_cost, condition_constraints and
+    least_distance_transform build from the same polynomials to rounding.
 
     The Bernstein coefficient p = 0 of a state-only row is a fact about the
     measured state, which pins x(0), and not a planner decision; those rows
@@ -426,12 +434,13 @@ class _Planner:
 
     def __init__(self, p: PmsmParams, scenario: Scenario):
         T = scenario.T_horizon
-        fm = flat_transform(pmsm_linearize(p, 0.0))
+        model = pmsm_linearize(p, 0.0)
+        fm = flat_transform(model)
         cost = pmsm_cost(p, scenario.q, 0.0, 0.0, T)
         _, y = parameterize_outputs(fm, np.zeros(2), scenario.degree, T)
         spec = pmsm_constraints(p)
         _, x_cl, _, v_cl = _chain_coefficients(y, fm.r)
-        self.p, self.q, self.dt, self.spec = p, scenario.q, scenario.dt, spec
+        self.p, self.q, self.dt = p, scenario.q, scenario.dt
         self.drift = (0.5 * p.n_p * scenario.dt**2 * (p.I_max + p.K / p.L)
                       / scenario.J_m)
         self.tau_max = (torque_constant(p) * p.I_max
@@ -447,14 +456,14 @@ class _Planner:
         self.K_P = np.einsum("ab,ap,bq->pq", cost.P, self.sTl, self.sTl)
 
         # A = A0 + a J with a = n_p omega, so u_cl = L v_cl - L A x_cl is
-        # U0 + (L a) Ua.  Every coefficient gets one of the two terms, so
-        # scaling Ua by L a rounds as the product L A x_cl does.
-        A0 = _frozen_speed_model(p, 0.0)[0]
+        # U0 + (L a) Ua, and u0 = -L (A x0 + d) with d = -(a K / L) e_q.
         J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        U0 = p.L * v_cl - p.L * np.einsum("ij,jkp->ikp", A0, x_cl)
+        U0 = p.L * v_cl - p.L * np.einsum("ij,jkp->ikp", model.A, x_cl)
         Ua = -np.einsum("ij,jkp->ikp", J, x_cl)
         self.u0_lin = U0[:, 0]
         self.u0_lin.setflags(write=False)
+        self.U = -p.L * np.hstack([np.zeros((2, 1)), model.A, J,
+                                   [[0.0], [-1.0]]])
 
         state_only = ~spec.G_u.any(axis=1)
         rows = [(k, j) for k in range(spec.n_rows) for j in range(y.degree + 1)]
@@ -468,11 +477,26 @@ class _Planner:
                                           spec)
             return _bernstein_rows(poly)[0][keep]
 
-        self.G0 = bernstein_rows(x_cl, U0)
-        self.Ga = bernstein_rows(np.zeros_like(x_cl), Ua)
-        self.row_constraint = np.array([rows[i][0] for i in keep])
+        G0 = bernstein_rows(x_cl, U0)
+        Ga = bernstein_rows(np.zeros_like(x_cl), Ua)
         current = np.flatnonzero(spec.G_x.any(axis=1))
-        self.G_land, self.g_land = spec.G_x[current], spec.g0[current]
+        G_land = spec.G_x[current]
+        n_poly, n_free = G0.shape
+        theta = np.zeros((n_poly + current.size, n_free, 6))
+        theta[:n_poly, :, 0], theta[:n_poly, :, 1] = G0, Ga
+        theta[n_poly:, :, 2:] = np.einsum(
+            "ri,jc->rcij", G_land, self.u0_lin).reshape(-1, n_free, 4)
+        self.Theta = theta.reshape(-1, 6)
+        self.rows_shape = theta.shape[:2]
+        self.n_poly = n_poly
+
+        # Each constraint's value at t = 0 and a landing row's at x0, as
+        # maps of phi.
+        at_x0 = np.hstack([spec.g0[:, None], spec.G_x,
+                           np.zeros((spec.n_rows, 3))])
+        at_zero = at_x0 + spec.G_u @ self.U
+        self.C = np.vstack([at_zero[[rows[i][0] for i in keep]],
+                            at_x0[current]])
         self.tags = (tuple(rows[i] for i in keep)
                      + tuple((int(k), -1) for k in current))
 
@@ -493,7 +517,7 @@ class _Planner:
         if not (np.isfinite(x0).all() and math.isfinite(omega)
                 and math.isfinite(tau_star)):
             raise NonFinite("planner inputs are not finite")
-        p, spec = self.p, self.spec
+        p = self.p
         q_diag, x_ref, x_star = _cost_weights(p, self.q, omega, tau_star)
         _require_psd("Q", q_diag)
 
@@ -512,22 +536,17 @@ class _Planner:
         k += 2.0 * (sP @ self.sTl)
         k0 += float(sP @ sT0)
 
-        A, d = _frozen_speed_model(p, omega)
-        u0 = -p.L * (A @ x0 + d)
-        const = spec.G_x @ x0 + spec.G_u @ u0 + spec.g0
-        G_poly = self.G0 + (p.L * A[0, 1]) * self.Ga
-        h_poly = -const[self.row_constraint]
-        # Checked before _discretize: an overflowed speed term would
-        # otherwise reach math.cos as inf.
-        _require_finite_rows(G_poly, h_poly)
+        a = p.n_p * float(omega)
+        i_d, i_q = x0.tolist()
+        phi = np.array([1.0, i_d, i_q, a * i_d, a * i_q, a * p.K / p.L])
+        h = -(self.C @ phi)
+        h[self.n_poly:] -= self.landing_backoff(omega)
         Bd = _discretize(p, omega, self.dt)
-        G_land = self.G_land @ (Bd @ self.u0_lin)
-        h_land = (-(self.G_land @ x0 + self.g_land)
-                  - self.landing_backoff(omega))
-        _require_finite_rows(G_land, h_land)
-        G = np.vstack([G_poly, G_land])
-        h = np.concatenate([h_poly, h_land])
-        return _least_distance(K, k, k0, G, h, self.tags), (u0, self.u0_lin)
+        G = (self.Theta @ np.array([1.0, p.L * a, *Bd.flat])).reshape(
+            self.rows_shape)
+        _require_finite_rows(G, h)
+        return (_least_distance(K, k, k0, G, h, self.tags),
+                (self.U @ phi, self.u0_lin))
 
 
 def run_closed_loop(scenario: Scenario, solver_kind="qp",

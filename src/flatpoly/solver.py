@@ -44,6 +44,15 @@ feasibility, a non-finite tableau, or a final basis that fails
 _warm_vertex's fresh check) restarts once from the slack basis, unless it
 was the slack basis.
 
+A basis that solve_lp returns carries the layout it was checked with:
+which columns are basic and which rows are tight.  A warm start from it
+on rows of the same shape skips that check and mapping, which would
+repeat unchanged work, since consecutive receding-horizon steps keep the
+same basis on most steps.  The numeric tests (the block's LU factors,
+the vertex, dual and primal feasibility) depend on the new rows and run
+on every warm start.  Any other sequence, the plain tuple that the dual
+simplex hands to the final check included, is checked and mapped first.
+
 Both solvers normalize each constraint row to unit gradient norm first; a
 row with no gradient is a constant, and one violated by more than
 FEASIBILITY_TOL makes the instance infeasible.  A satisfied constant row
@@ -114,9 +123,12 @@ class SolveResult:
     basis is solve_lp's optimal basis, which its warm_start takes: one
     column per row, by identity (j for fp_j, n_free + j for fn_j,
     2 n_free + r for the slack of row r, which is basic for a constant
-    row), sorted.  Re-solving the same rows from it takes 0 pivots, and the
-    same rows with another h start the dual simplex from it in place of
-    the all-slack basis.  It is None for the other solvers and for
+    row), sorted.  It is a private tuple subclass that equals, hashes and
+    prints as the plain tuple of those columns, and also carries their
+    checked layout, which a warm start on rows of the same shape reuses.
+    Re-solving the same rows from it takes 0 pivots, and the same rows
+    with another h start the dual simplex from it in place of the
+    all-slack basis.  It is None for the other solvers and for
     non-optimal solves.
 
     iterations counts the add or drop steps of the QP and the pivots of
@@ -353,26 +365,21 @@ def _pivot(tableau, leave, entering):
 _Vertex = namedtuple("_Vertex", ["f", "basis", "primal", "lu"])
 
 
-def _warm_vertex(Gn, hn, basis):
-    """The vertex of a given basis if that basis is dual feasible here.
-
-    basis is in SolveResult.basis form, one column per row.  Of its M
-    columns, s <= n come from fp and fn and the rest are slacks, so the s
-    rows whose slack is nonbasic hold B v = hn with B the s x s block of
-    the basic fp, fn columns; v gives the vertex f, and B' y = 1 the duals
-    y of those rows (the other rows' duals are zero).  The basis is dual
-    feasible when every reduced cost is >= -1e-9: 1 - Gn' y for fp,
-    1 + Gn' y for fn and -y for a slack; it is also primal feasible, hence
-    optimal, when every basic value is >= -1e-12 max(1, |hn|_inf).  A
-    constant row's slack is basic in every basis that passes: were it
-    nonbasic, its zero row would make B singular.
-
-    Returns a _Vertex, or None when the basis is not dual feasible here or
-    does not map onto these rows: wrong length, a duplicated or
-    out-of-range column, fp_j and fn_j both basic, or a singular or
-    non-finite block.
+class _Basis(tuple):
+    """A basis in SolveResult.basis form with the layout that _basis_layout
+    checked and derived for rows of shape (M, n): the counts n_fp of basic
+    fp columns and s of basic fp and fn columns, the parameters fp and fn
+    of those columns, the boolean mask tight of the rows whose slack is
+    nonbasic and the rows basic_slack whose slack is basic.  It is the
+    tuple of the sorted columns, and equal to it; the layout depends on
+    nothing but the columns and (M, n).
     """
-    M, n = Gn.shape
+
+
+def _basis_layout(basis, M, n):
+    """basis as a _Basis for M rows and n parameters, or None when it does
+    not map onto them: wrong length, not integers, a duplicated or
+    out-of-range column, or fp_j and fn_j both basic."""
     b = np.asarray(basis)
     if b.shape != (M,) or b.dtype.kind not in "iu":
         return None
@@ -388,6 +395,49 @@ def _warm_vertex(Gn, hn, basis):
     basic_slack = b[s:] - 2 * n
     tight = np.ones(M, dtype=bool)
     tight[basic_slack] = False
+    layout = _Basis(b.tolist())
+    layout.shape, layout.n_fp, layout.s = (M, n), int(n_fp), int(s)
+    layout.fp, layout.fn = fp, fn
+    layout.tight, layout.basic_slack = tight, basic_slack
+    for array in (fp, fn, tight, basic_slack):
+        array.setflags(write=False)
+    return layout
+
+
+def _warm_vertex(Gn, hn, basis):
+    """The vertex of a given basis if that basis is dual feasible here.
+
+    basis is in SolveResult.basis form, one column per row.  Of its M
+    columns, s <= n come from fp and fn and the rest are slacks, so the s
+    rows whose slack is nonbasic hold B v = hn with B the s x s block of
+    the basic fp, fn columns; v gives the vertex f, and B' y = 1 the duals
+    y of those rows (the other rows' duals are zero).  The basis is dual
+    feasible when every reduced cost is >= -1e-9: 1 - Gn' y for fp,
+    1 + Gn' y for fn and -y for a slack; it is also primal feasible, hence
+    optimal, when every basic value is >= -1e-12 max(1, |hn|_inf).  A
+    constant row's slack is basic in every basis that passes: were it
+    nonbasic, its zero row would make B singular.
+
+    A _Basis checked for rows of this shape, which is what every optimal
+    solve_lp returns, skips _basis_layout: its layout depends only on the
+    columns and the shape, and a tuple cannot change.  Every other basis
+    is checked and mapped first.  The numeric tests depend on Gn and hn,
+    so they run on every call: the LU factorization of B, both solves,
+    finiteness, dual and primal feasibility.
+
+    Returns a _Vertex whose basis is a _Basis, or None when the basis is
+    not dual feasible here or does not map onto these rows (see
+    _basis_layout), or its block is singular or non-finite.
+    """
+    M, n = Gn.shape
+    if type(basis) is _Basis and basis.shape == (M, n):
+        layout = basis
+    else:
+        layout = _basis_layout(basis, M, n)
+        if layout is None:
+            return None
+    n_fp, s, fp, fn = layout.n_fp, layout.s, layout.fp, layout.fn
+    tight, basic_slack = layout.tight, layout.basic_slack
     Gt = Gn[tight]
     tol = 1e-12 * max(1.0, np.abs(hn).max())
     f = np.zeros(n)
@@ -411,7 +461,7 @@ def _warm_vertex(Gn, hn, basis):
         return None
     primal = primal and not (
         Gn[basic_slack] @ f - hn[basic_slack] > tol).any()
-    return _Vertex(f, tuple(b.tolist()), primal, lu)
+    return _Vertex(f, layout, primal, lu)
 
 
 def _dual_simplex(Gn, hn, start, max_iter):

@@ -578,20 +578,25 @@ class ReferencePlanner:
 
 @pytest.mark.parametrize("kind", ["qp", "lp"])
 def test_closed_loop_matches_public_pipeline(monkeypatch, kind):
-    scenario = Scenario(degree=3, q=5.0, speed_setpoints=((0.0, 200.0),),
-                        duration=0.02)
-    fast = run_closed_loop(scenario, kind)
-    monkeypatch.setattr(pmsm_sim, "_Planner", ReferencePlanner)
-    ref = run_closed_loop(scenario, kind)
-    assert len(fast) == len(ref) == 200
-    assert [(r.status, r.iterations) for r in fast] == [
-        (r.status, r.iterations) for r in ref]
-    for field in ("t", "i_d", "i_q", "v_d", "v_q", "omega", "tau", "tau_ref",
-                  "J"):
-        got = np.array([getattr(r, field) for r in fast])
-        want = np.array([getattr(r, field) for r in ref])
-        err = np.abs(got - want).max()
-        assert err <= 1e-9 * np.abs(want).max(), f"{field}: {err:.2e}"
+    # A short low-degree run and the stock run.
+    for scenario, steps in (
+            (Scenario(degree=3, q=5.0, speed_setpoints=((0.0, 200.0),),
+                      duration=0.02), 200),
+            (Scenario(), 1200)):
+        fast = run_closed_loop(scenario, kind)
+        with monkeypatch.context() as patch:
+            patch.setattr(pmsm_sim, "_Planner", ReferencePlanner)
+            ref = run_closed_loop(scenario, kind)
+        assert len(fast) == len(ref) == steps
+        assert [(r.status, r.iterations) for r in fast] == [
+            (r.status, r.iterations) for r in ref]
+        for field in ("t", "i_d", "i_q", "v_d", "v_q", "omega", "tau",
+                      "tau_ref", "J"):
+            got = np.array([getattr(r, field) for r in fast])
+            want = np.array([getattr(r, field) for r in ref])
+            err = np.abs(got - want).max()
+            assert err <= 1e-9 * np.abs(want).max(), (
+                f"{steps} steps, {field}: {err:.2e}")
 
 
 def test_lp_loop_warm_start_matches_cold_loop(monkeypatch, default_traces):

@@ -562,6 +562,12 @@ def test_lp_warm_start_from_optimal_basis_takes_zero_iterations():
         assert err <= 1e-12 * max(1.0, np.abs(cold.f).max()), trial
         assert warm.quadratic_cost == pytest.approx(cold.quadratic_cost,
                                                     rel=1e-12)
+        # The layout the returned basis carries gives what checking the
+        # plain columns again gives, to the bit.
+        listed = solve_lp(ldp, warm_start=list(cold.basis))
+        for name in ("f", "alpha", "basis", "active_rows", "iterations"):
+            assert np.array_equal(getattr(warm, name),
+                                  getattr(listed, name)), (trial, name)
 
 
 def test_lp_warm_start_from_stale_basis_solves_cold():
@@ -590,7 +596,12 @@ def test_lp_malformed_warm_start_solves_cold():
     for _ in range(5):
         ldp, _ = random_feasible_ldp(rng, max_m=40)
         n, M = ldp.n_free, ldp.h.size
-        basis = list(solve_lp(ldp).basis)
+        returned = solve_lp(ldp).basis
+        basis = list(returned)
+        # An optimal basis for these rows and one more.
+        extra = solve_lp(toy_ldp(np.vstack([ldp.G, ldp.G[:1]]),
+                                 np.append(ldp.h, ldp.h[0] + 1.0))).basis
+        assert len(extra) == M + 1
         malformed = [
             basis[:-1],                          # wrong length
             basis + [basis[0]],                  # wrong length
@@ -598,6 +609,8 @@ def test_lp_malformed_warm_start_solves_cold():
             basis[:-1] + [2 * n + M],            # slack of no row
             [-1] + basis[1:],                    # negative column
             [float(j) for j in basis],           # not integers
+            tuple(float(j) for j in returned),   # not integers
+            extra,                               # another row count
         ]
         for bad in malformed:
             assert_same_as_cold(ldp, solve_lp(ldp, warm_start=bad))
