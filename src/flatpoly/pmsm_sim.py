@@ -351,26 +351,26 @@ def pi_speed_controller(omega_ref, omega, k_p, k_i, tau_limit, dt,
 def _discretize(p: PmsmParams, omega, dt):
     """Exact zero-order-hold discretization of the frozen-speed model.
 
-    A = -(R/L) I + n_p w [[0, 1], [-1, 0]] is a damped rotation, so
-    e^{A dt} = e^{-R dt / L} [[cos, sin], [-sin, cos]](n_p w dt); R > 0
-    makes A invertible, so S = int_0^dt e^{A s} ds = A^{-1} (e^{A dt} - I).
-    Returns the input map Bd = S B = S / L of x(dt) = e^{A dt} x0 + Bd u
-    + S d for constant u, or NaN entries where the rotation n_p w dt
-    overflows, which the planner's row check then rejects.
+    A = -sigma I + a J (sigma = R/L, a = n_p w, J = [[0, 1], [-1, 0]]) is a
+    damped rotation, e^{A dt} = e^{-sigma dt} (cos I + sin J)(a dt), and
+    R > 0 makes A invertible: S = int_0^dt e^{A s} ds = A^{-1} (e^{A dt} - I).
+    As J J = -I, each is x I + y J.  Returns (c, s) of the input map Bd =
+    S / L = c I + s J of x(dt) = e^{A dt} x0 + Bd u + S d for constant u,
+    or NaNs where a dt overflows, which the planner's row check rejects.
     """
     sigma, a = p.R / p.L, p.n_p * float(omega)
     theta = a * dt
     if not math.isfinite(theta):  # math.cos would raise on it
-        return np.full((2, 2), math.nan)
-    decay = math.exp(-sigma * dt)
+        return math.nan, math.nan
     cos, sin = math.cos(theta), math.sin(theta)
-    # e^{A dt} - I without cancellation: decay cos - 1 is
-    # expm1(-sigma dt) cos - 2 sin^2(theta / 2).
-    diag = math.expm1(-sigma * dt) * cos - 2.0 * math.sin(0.5 * theta) ** 2
-    E_minus_I = np.array([[diag, decay * sin], [-decay * sin, diag]])
-    A_inv = np.array([[-sigma, -a], [a, -sigma]]) / (sigma * sigma + a * a)
-    S = A_inv @ E_minus_I
-    return S / p.L
+    # e^{A dt} - I = e_i I + e_j J without cancellation: e^{-sigma dt} cos
+    # - 1 is expm1(-sigma dt) cos - 2 sin^2(theta / 2).
+    e_i = math.expm1(-sigma * dt) * cos - 2.0 * math.sin(0.5 * theta) ** 2
+    e_j = math.exp(-sigma * dt) * sin
+    # A^{-1} = -(sigma I + a J) / (sigma^2 + a^2), folded with 1 / L.
+    scale = -1.0 / ((sigma * sigma + a * a) * p.L)
+    return (scale * (sigma * e_i - a * e_j),
+            scale * (sigma * e_j + a * e_i))
 
 
 class _Planner:
@@ -389,13 +389,13 @@ class _Planner:
       + K_P with the per-axis Gram blocks K_d, K_q and the terminal block
       K_P; and Ws x_cl, which k uses at every step;
     - Theta, every constraint row of a step as one linear map of the
-      step's scalars: G = reshape(Theta @ [1, L a, Bd00, Bd01, Bd10,
-      Bd11]) with a = n_p omega and Bd from _discretize.  A = A0 + a J, so
+      step's scalars: G = reshape(Theta @ [1, L a, c, s]) with
+      a = n_p omega and Bd = c I + s J from _discretize.  A = A0 + a J, so
       the input coefficients are u_cl = U0 + (L a) Ua and the polynomial
       rows are the Bernstein rows G0 + (L a) Ga, less the rows left out
       below; columns 0 and 1 of Theta hold G0 and Ga.  The landing rows
-      are G_land Bd u0_lin, so the column of Bd_ij holds the outer product
-      G_land[:, i] u0_lin[j];
+      are G_land Bd u0_lin, so columns 2 and 3 hold G_land u0_lin and
+      G_land J u0_lin;
     - U and C, the applied-input constant and the right-hand side as linear
       maps of phi = [1, x0_d, x0_q, a x0_d, a x0_q, a K / L]: u0 = U phi
       and h = -C phi, less landing_backoff on the landing rows.  A
@@ -482,11 +482,11 @@ class _Planner:
         current = np.flatnonzero(spec.G_x.any(axis=1))
         G_land = spec.G_x[current]
         n_poly, n_free = G0.shape
-        theta = np.zeros((n_poly + current.size, n_free, 6))
+        theta = np.zeros((n_poly + current.size, n_free, 4))
         theta[:n_poly, :, 0], theta[:n_poly, :, 1] = G0, Ga
-        theta[n_poly:, :, 2:] = np.einsum(
-            "ri,jc->rcij", G_land, self.u0_lin).reshape(-1, n_free, 4)
-        self.Theta = theta.reshape(-1, 6)
+        theta[n_poly:, :, 2] = G_land @ self.u0_lin
+        theta[n_poly:, :, 3] = G_land @ J @ self.u0_lin
+        self.Theta = theta.reshape(-1, 4)
         self.rows_shape = theta.shape[:2]
         self.n_poly = n_poly
 
@@ -541,8 +541,8 @@ class _Planner:
         phi = np.array([1.0, i_d, i_q, a * i_d, a * i_q, a * p.K / p.L])
         h = -(self.C @ phi)
         h[self.n_poly:] -= self.landing_backoff(omega)
-        Bd = _discretize(p, omega, self.dt)
-        G = (self.Theta @ np.array([1.0, p.L * a, *Bd.flat])).reshape(
+        c, s = _discretize(p, omega, self.dt)
+        G = (self.Theta @ np.array([1.0, p.L * a, c, s])).reshape(
             self.rows_shape)
         _require_finite_rows(G, h)
         return (_least_distance(K, k, k0, G, h, self.tags),

@@ -50,8 +50,8 @@ on rows of the same shape skips that check and mapping, which would
 repeat unchanged work, since consecutive receding-horizon steps keep the
 same basis on most steps.  The numeric tests (the block's LU factors,
 the vertex, dual and primal feasibility) depend on the new rows and run
-on every warm start.  Any other sequence, the plain tuple that the dual
-simplex hands to the final check included, is checked and mapped first.
+on every warm start.  The dual simplex's own final basis skips the check
+too; any other sequence is checked and mapped first.
 
 Both solvers normalize each constraint row to unit gradient norm first; a
 row with no gradient is a constant, and one violated by more than
@@ -166,6 +166,15 @@ def solve_unconstrained(pc: ParameterizedCost) -> SolveResult:
     )
 
 
+def _integers(seq):
+    """seq as a flat integer array, or None for anything else."""
+    try:
+        array = np.asarray(seq)
+    except ValueError:  # ragged, e.g. [0, [1, 2]]
+        return None
+    return array if array.ndim == 1 and array.dtype.kind in "iu" else None
+
+
 def _scaled_rows(G, h):
     """Normalize rows to unit gradient norm; make constant rows inert.
 
@@ -212,8 +221,8 @@ def _dual_active_set(Gn, hn, max_iter, warm_start):
     """min f'f over unit rows Gn f <= hn by Goldfarb and Idnani's dual method.
 
     The active set starts from the warm-start rows in range, sorted and
-    deduplicated, possibly none (a warm start that is not a sequence of
-    integers is ignored).  One Cholesky factorization R'R of their Gram
+    deduplicated, possibly none (a warm start that is not a flat sequence
+    of integers is ignored).  One Cholesky factorization R'R of their Gram
     matrix Gn_A Gn_A' gives the multipliers u of Gn_A f = hn_A and
     f = -Gn_A' u, the point the QR below would give.  Until every pivot
     R_ii^2 is at least GRAM_PIVOT_TOL, there are at most n rows and every
@@ -241,9 +250,9 @@ def _dual_active_set(Gn, hn, max_iter, warm_start):
     if max_iter is None:
         max_iter = 10 * M
     tol = 1e-12 * max(1.0, np.abs(hn).max())
-    seed = np.asarray([] if warm_start is None else list(warm_start))
+    seed = None if warm_start is None else _integers(list(warm_start))
     active = []
-    if seed.ndim == 1 and seed.dtype.kind in "iu":  # else start cold
+    if seed is not None:  # else start cold
         active = sorted(set(seed[(seed >= 0) & (seed < M)].tolist()))
     active = np.array(active, dtype=np.intp)
     f, u = np.zeros(n), np.zeros(0)
@@ -341,7 +350,8 @@ def solve_qp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
         receding-horizon step.  They seed the active set, less the rows
         that are dependent, too many or of nonpositive multiplier, and
         are the answer after 0 iterations when still optimal.  One that
-        holds anything but integers is ignored.
+        is not a flat sequence of integers (a ragged one included) is
+        ignored.
 
     Returns
     -------
@@ -366,8 +376,8 @@ _Vertex = namedtuple("_Vertex", ["f", "basis", "primal", "lu"])
 
 
 class _Basis(tuple):
-    """A basis in SolveResult.basis form with the layout that _basis_layout
-    checked and derived for rows of shape (M, n): the counts n_fp of basic
+    """A basis in SolveResult.basis form with its layout for rows of
+    shape (M, n), which _layout derives: the counts n_fp of basic
     fp columns and s of basic fp and fn columns, the parameters fp and fn
     of those columns, the boolean mask tight of the rows whose slack is
     nonbasic and the rows basic_slack whose slack is basic.  It is the
@@ -376,32 +386,33 @@ class _Basis(tuple):
     """
 
 
-def _basis_layout(basis, M, n):
-    """basis as a _Basis for M rows and n parameters, or None when it does
-    not map onto them: wrong length, not integers, a duplicated or
-    out-of-range column, or fp_j and fn_j both basic."""
-    b = np.asarray(basis)
-    if b.shape != (M,) or b.dtype.kind not in "iu":
-        return None
-    b = np.sort(b)
-    if b[0] < 0 or b[-1] >= 2 * n + M or (b[1:] == b[:-1]).any():
-        return None
+def _layout(b, M, n):
+    """The _Basis of sorted, valid columns b for M rows, n parameters."""
     n_fp, s = np.searchsorted(b, (n, 2 * n))
-    fp, fn = b[:n_fp], b[n_fp:s] - n
-    basic_fp = np.zeros(n, dtype=bool)
-    basic_fp[fp] = True
-    if basic_fp[fn].any():
-        return None
     basic_slack = b[s:] - 2 * n
     tight = np.ones(M, dtype=bool)
     tight[basic_slack] = False
     layout = _Basis(b.tolist())
     layout.shape, layout.n_fp, layout.s = (M, n), int(n_fp), int(s)
-    layout.fp, layout.fn = fp, fn
+    layout.fp, layout.fn = b[:n_fp], b[n_fp:s] - n
     layout.tight, layout.basic_slack = tight, basic_slack
-    for array in (fp, fn, tight, basic_slack):
+    for array in (layout.fp, layout.fn, tight, basic_slack):
         array.setflags(write=False)
     return layout
+
+
+def _basis_layout(basis, M, n):
+    """A caller's basis as a _Basis for M rows and n parameters, or None
+    when it does not map onto them: wrong length, not integers, a
+    duplicated or out-of-range column, or fp_j and fn_j both basic."""
+    b = _integers(basis)
+    if b is None or b.shape != (M,):
+        return None
+    b = np.sort(b)
+    if b[0] < 0 or b[-1] >= 2 * n + M or (b[1:] == b[:-1]).any():
+        return None
+    layout = _layout(b, M, n)
+    return None if np.isin(layout.fn, layout.fp).any() else layout
 
 
 def _warm_vertex(Gn, hn, basis):
@@ -418,11 +429,11 @@ def _warm_vertex(Gn, hn, basis):
     constant row's slack is basic in every basis that passes: were it
     nonbasic, its zero row would make B singular.
 
-    A _Basis checked for rows of this shape, which is what every optimal
-    solve_lp returns, skips _basis_layout: its layout depends only on the
-    columns and the shape, and a tuple cannot change.  Every other basis
-    is checked and mapped first.  The numeric tests depend on Gn and hn,
-    so they run on every call: the LU factorization of B, both solves,
+    A _Basis for rows of this shape, which is what every optimal solve_lp
+    and _dual_simplex return, skips _basis_layout: its layout depends only
+    on the columns and the shape, and a tuple cannot change.  Every other
+    basis is checked and mapped first.  The numeric tests depend on Gn
+    and hn, so they run on every call: the LU factorization of B, both solves,
     finiteness, dual and primal feasibility.
 
     Returns a _Vertex whose basis is a _Basis, or None when the basis is
@@ -482,8 +493,8 @@ def _dual_simplex(Gn, hn, start, max_iter):
     slack's unit row, so it never leaves and its slack never enters.
 
     Returns (status, basis, pivots).  status is 'optimal' once every basic
-    value is >= -1e-12 max(1, |hn|_inf), with basis in SolveResult.basis
-    form; otherwise basis is None and status is 'infeasible' when the
+    value is >= -1e-12 max(1, |hn|_inf), with basis a _Basis; otherwise
+    basis is None and status is 'infeasible' when the
     leaving row has no entry below -PIVOT_TOL (its basic value is negative
     however the nonbasic columns are raised), 'iteration_limit' before a
     pivot past max_iter, 'lost_dual_feasibility' when a reduced cost falls
@@ -496,13 +507,11 @@ def _dual_simplex(Gn, hn, start, max_iter):
         tableau = full
     else:
         cols = np.array(start.basis)
-        s = np.searchsorted(cols, 2 * n)
+        s, tight = start.basis.s, start.basis.tight
         # B^-1 [A | hn] by blocks: the s rows whose slack is nonbasic give
         # the basic fp, fn rows through the s x s block; each basic slack
         # row is its own row of [A | hn] less what the basic fp, fn columns
         # take.
-        tight = np.ones(M, dtype=bool)
-        tight[cols[s:] - 2 * n] = False
         top, _ = scipy.linalg.lapack.dgetrs(*start.lu, full[tight])
         rest = full[~tight]
         tableau = np.vstack([top, rest - rest[:, cols[:s]] @ top])
@@ -517,7 +526,7 @@ def _dual_simplex(Gn, hn, start, max_iter):
         rhs = tableau[:, -1]
         infeasible = np.flatnonzero(rhs < -tol)
         if infeasible.size == 0:
-            return "optimal", tuple(np.sort(cols).tolist()), pivots
+            return "optimal", _layout(np.sort(cols), M, n), pivots
         if degenerate_streak < 8:  # most negative value
             pick = np.lexsort((cols[infeasible], rhs[infeasible]))[0]
         else:  # Bland: smallest column

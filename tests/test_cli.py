@@ -5,13 +5,14 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flatpoly
 import flatpoly.flat as flat_module
-from flatpoly import cli
+from flatpoly import cli, pmsm_sim
 from flatpoly.flat import flat_transform
 from flatpoly.pmsm_sim import (
     PmsmParams, Scenario, TraceRow, pmsm_constraints, run_closed_loop,
@@ -157,9 +158,29 @@ def test_solve_bad_json_exits_two(tmp_path, capsys):
     null_horizon["cost"]["T"] = None
     fractional_degree = model_doc()
     fractional_degree["basis"]["N"] = 5.9
+    # A misspelled or extra key, or a null, would otherwise change the
+    # problem without a word: these constraint rows bound |u| by 0.1.
+    rows = {"G_x": [[0.0, 0.0], [0.0, 0.0]], "G_u": [[1.0], [-1.0]],
+            "g0": [-0.1, -0.1]}
+    misspelled_constraints = model_doc()
+    misspelled_constraints["constraint"] = rows
+    misspelled_reference = model_doc(rows)
+    misspelled_reference["cost"]["x_reff"] = [1.0, 0.0]
+    extra_basis_key = model_doc(rows)
+    extra_basis_key["basis"]["degree"] = 7
+    null_drift = model_doc(rows)
+    null_drift["system"]["d"] = None
+    string_horizon = model_doc()
+    string_horizon["cost"]["T"] = "1.0"
+    string_matrix = model_doc()
+    string_matrix["system"]["A"] = [["0", "1"], ["0", "0"]]
     bad = tmp_path / "model.json"
     for text in ("{not json", "[]", json.dumps(null_horizon),
-                 json.dumps(fractional_degree)):
+                 json.dumps(fractional_degree),
+                 json.dumps(misspelled_constraints),
+                 json.dumps(misspelled_reference),
+                 json.dumps(extra_basis_key), json.dumps(null_drift),
+                 json.dumps(string_horizon), json.dumps(string_matrix)):
         bad.write_text(text)
         rc = cli.main(["solve", "--model", str(bad),
                        "--out", str(tmp_path / "sol.json")])
@@ -178,12 +199,17 @@ def test_solve_shape_error_exits_two(tmp_path, capsys):
 
 
 def test_solve_missing_key_exits_two(tmp_path, capsys):
-    doc = model_doc()
-    del doc["cost"]
-    model = write_json(tmp_path / "model.json", doc)
-    rc = cli.main(["solve", "--model", model,
-                   "--out", str(tmp_path / "sol.json")])
-    assert rc == 2
+    rows = {"G_x": [[0.0, 0.0]], "G_u": [[1.0]], "g0": [-0.8]}
+    for obj, key in ((None, "cost"), ("system", "A"), ("cost", "T"),
+                     ("basis", "N"), ("constraints", "g0")):
+        doc = model_doc(rows)
+        del (doc if obj is None else doc[obj])[key]
+        model = write_json(tmp_path / "model.json", doc)
+        rc = cli.main(["solve", "--model", model,
+                       "--out", str(tmp_path / "sol.json")])
+        assert rc == 2, (obj, key)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: missing required {obj or 'model'} key: {key!r}"]
 
 
 def test_solve_zero_cost_exits_three(tmp_path, capsys):
@@ -244,6 +270,10 @@ def test_simulate_pmsm_unknown_key_exits_two(tmp_path, capsys):
     pytest.param({"N": 5.5}, id="non-integral-degree"),
     pytest.param({"N": 5, "degree": 7}, id="degree-given-twice"),
     pytest.param({"machine": {"n_p": 2.5}}, id="non-integral-pole-pairs"),
+    pytest.param({"duration": None}, id="null-duration"),
+    pytest.param({"duration": True}, id="boolean-duration"),
+    pytest.param({"machine": None}, id="null-machine"),
+    pytest.param({"speed_setpoints": [[0.0, "420"]]}, id="string-setpoint"),
 ])
 def test_simulate_pmsm_malformed_scenario_exits_two(tmp_path, capsys, doc):
     scenario = write_json(tmp_path / "scn.json", doc)
@@ -404,3 +434,40 @@ def test_polytope_violations_counts_rows():
                     + spec.g0 > 1e-6)) for r in trace)
     assert 0 < expected < len(trace)
     assert cli._polytope_violations(trace, params) == expected
+
+
+def test_traced_benchmark_wrappers_keep_outputs(tmp_path, monkeypatch):
+    # A traced benchmark run replaces every name that perfbench/worker.py
+    # lists on cli and pmsm_sim with a plain timing wrapper.  The solve and
+    # the closed loop must then write the same bytes as without them, and
+    # call the spec classes through those names.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    import worker
+    from spans import SpanRecorder
+
+    constraints = {"G_x": [[0.0, 0.0], [0.0, 0.0]], "G_u": [[1.0], [-1.0]],
+                   "g0": [-0.3, -0.3]}
+    model = write_json(tmp_path / "model.json", model_doc(constraints))
+    scenario = Scenario(duration=0.002)
+
+    def run(out):
+        assert cli.main(["solve", "--model", model, "--solver", "both",
+                         "--out", str(out)]) == 0
+        traces = [repr(run_closed_loop(scenario, kind))
+                  for kind in ("qp", "lp")]
+        return out.read_bytes(), out.with_suffix(".csv").read_bytes(), traces
+
+    plain = run(tmp_path / "plain.json")
+    cli_rec, pmsm_rec = SpanRecorder(), SpanRecorder()
+    with worker.patched(cli, worker._traced_names(
+            cli, worker.CLI_NAMES, cli_rec)), \
+            worker.patched(pmsm_sim, worker._traced_names(
+                pmsm_sim, worker.PMSM_NAMES, pmsm_rec)):
+        traced = run(tmp_path / "traced.json")
+    assert traced == plain
+    assert json.loads(plain[0])["lp"]["active_rows"]  # the rows bind
+    assert {"flat.lti_build", "flat.spec_build", "solver.solve_qp",
+            "solver.solve_lp"} <= {span[0] for span in cli_rec.spans}
+    assert {"pmsm_sim.step_plant", "solver.solve_qp", "solver.solve_lp"} <= {
+        span[0] for span in pmsm_rec.spans}

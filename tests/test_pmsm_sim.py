@@ -486,7 +486,8 @@ def reference_ldp(p, scenario, x0, omega, tau_star):
 def test_discretize_matches_matrix_exponential(omega):
     p = PmsmParams()
     dt = Scenario().dt
-    got = _discretize(p, omega, dt)
+    c, s = _discretize(p, omega, dt)
+    got = np.array([[c, s], [-s, c]])
     ref = expm_discretization(pmsm_linearize(p, omega), dt)[1]
     err = np.abs(got - ref).max()
     assert err <= 1e-13 * np.abs(ref).max(), f"Bd: {err:.2e}"

@@ -466,7 +466,7 @@ def test_non_integral_warm_start_solves_cold():
     cold = solve_qp(ldp)
     assert cold.iterations == 2
     assert solve_qp(ldp, warm_start=[1, 0]).iterations == 0
-    for seed in ([1.7, 0], ["0"], [True]):
+    for seed in ([1.7, 0], ["0"], [True], [0, [1, 2]]):
         res = solve_qp(ldp, warm_start=seed)
         assert (res.status, res.iterations) == ("optimal", 2), seed
         assert res.active_rows == cold.active_rows
@@ -610,6 +610,7 @@ def test_lp_malformed_warm_start_solves_cold():
             [-1] + basis[1:],                    # negative column
             [float(j) for j in basis],           # not integers
             tuple(float(j) for j in returned),   # not integers
+            [basis[0], basis[1:]],               # ragged
             extra,                               # another row count
         ]
         for bad in malformed:
