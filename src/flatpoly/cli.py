@@ -28,6 +28,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -78,9 +79,18 @@ def _field(doc, key, convert):
 
 
 def _floats(value):
-    """value as a float array, for a number or nested lists of numbers."""
-    array = np.asarray(value)
-    if array.dtype.kind not in "iuf":
+    """value as a float array, for a number or nested lists of numbers.
+
+    Ragged nesting and a boolean entry, which numpy would read as 0 or 1,
+    raise TypeError like any other value of the wrong type."""
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise TypeError(str(exc)) from None
+    leaves = [value]
+    for _ in range(array.ndim):
+        leaves = chain.from_iterable(leaves)
+    if array.dtype.kind not in "iuf" or bool in map(type, leaves):
         raise TypeError("not a number or an array of numbers")
     return array.astype(float, copy=False)
 

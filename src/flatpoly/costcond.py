@@ -6,10 +6,12 @@ Substituting the affine polynomial trajectories into
         + (x(T) - x_star)' P (x(T) - x_star)
 
 gives a quadratic J(alpha) = alpha' K alpha + k' alpha + k0.  Products of
-polynomials integrate exactly through the monomial Gram matrix, so no
-quadrature is involved; K is symmetrized and certified positive definite by
-an explicit Cholesky factorization, whose factor F also drives the
-least-distance change of variables f = F (alpha - alpha0).
+polynomials integrate exactly through the Gram matrix of the basis, and the
+terminal term takes the trajectory's value at t = T, both from
+polybasis.AffinePolyVector, so no quadrature is involved and this module
+does not depend on the basis; K is symmetrized and certified positive
+definite by an explicit Cholesky factorization, whose factor F also drives
+the least-distance change of variables f = F (alpha - alpha0).
 """
 
 from __future__ import annotations
@@ -26,35 +28,12 @@ from .polybasis import AffinePolyVector
 __all__ = [
     "ParameterizedCost",
     "LeastDistanceProblem",
-    "gram_weights",
     "condition_cost",
     "assert_convexity",
     "unconstrained_optimum",
     "least_distance_transform",
     "quadratic_value",
 ]
-
-
-def gram_weights(N, T):
-    """Exact monomial Gram matrix over [0, T].
-
-    Parameters
-    ----------
-    N : int
-        Maximum power.
-    T : float
-        Upper integration limit, T > 0.
-
-    Returns
-    -------
-    W : (N+1, N+1) ndarray
-        W[i, j] = integral of t^i t^j dt from 0 to T = T^(i+j+1)/(i+j+1).
-    """
-    if N < 0 or not T > 0:
-        raise DimensionMismatch(f"need N >= 0 and T > 0, got N={N}, T={T}")
-    idx = np.arange(N + 1)
-    s = idx[:, None] + idx[None, :] + 1
-    return T**s / s
 
 
 @dataclass(frozen=True)
@@ -120,10 +99,9 @@ def condition_cost(x_poly: AffinePolyVector, u_poly: AffinePolyVector,
                    cost: QuadraticCostSpec) -> ParameterizedCost:
     """Condition the continuous quadratic cost onto the free parameters.
 
-    The state/input polynomials are in the scaled basis (t/T)^j, for which
-    the Gram integral is int_0^T s^i s^j dt = T/(i+j+1); the terminal term
-    evaluates at s=1, i.e. plain coefficient sums.  Everything is closed
-    form, so the result is exact up to floating point.
+    The integrals go through the basis's Gram matrix and the terminal term
+    through the value at t = T (AffinePolyVector.gram and .at_end).
+    Everything is closed form, so the result is exact up to floating point.
 
     Parameters
     ----------
@@ -146,10 +124,8 @@ def condition_cost(x_poly: AffinePolyVector, u_poly: AffinePolyVector,
         raise DimensionMismatch(
             f"polynomial horizon {x_poly.T} vs cost horizon {cost.T}"
         )
-    # Gram of the scaled basis: T * (unit-interval monomial Gram).
-    Ws = cost.T * gram_weights(x_poly.degree, 1.0)
-    ex0 = x_poly.coef0.copy()
-    ex0[:, 0] -= cost.x_ref
+    Ws = x_poly.gram()
+    ex0 = x_poly.plus(-cost.x_ref).coef0
     K, k, k0 = _quad_block(Ws, ex0, x_poly.coef_lin, cost.Q)
 
     # An all-zero R contributes nothing, so its block is skipped.
@@ -157,9 +133,8 @@ def condition_cost(x_poly: AffinePolyVector, u_poly: AffinePolyVector,
         Ku, ku, k0u = _quad_block(Ws, u_poly.coef0, u_poly.coef_lin, cost.R)
         K, k, k0 = K + Ku, k + ku, k0 + k0u
 
-    # Terminal term at s = 1: coefficient sums.
-    sT0 = x_poly.coef0.sum(axis=1) - cost.x_star
-    sTl = x_poly.coef_lin.sum(axis=1)
+    xT0, sTl = x_poly.at_end()
+    sT0 = xT0 - cost.x_star
     K += np.einsum("ab,ap,bq->pq", cost.P, sTl, sTl)
     k += 2.0 * np.einsum("ab,a,bp->p", cost.P, sT0, sTl)
     k0 += float(sT0 @ cost.P @ sT0)

@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "FlatpolyError",
+    "DimensionMismatch",
+    "UncontrollableSystem",
+    "DegreeTooLow",
+    "DegreeOutOfRange",
+    "NotPositiveDefinite",
+    "NonFinite",
+]
+
 
 class FlatpolyError(Exception):
     """Base class for all errors raised by flatpoly."""

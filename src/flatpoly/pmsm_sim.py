@@ -44,8 +44,8 @@ from .flat import (
     _require_psd,
     flat_transform,
 )
-from .polybasis import AffinePolyVector, _chain_coefficients, parameterize_outputs
-from .costcond import _least_distance, _linear_terms, gram_weights
+from .polybasis import AffinePolyVector, _chain_polynomials, parameterize_outputs
+from .costcond import _least_distance, _linear_terms
 from .polyconstraint import (
     _bernstein_rows,
     _require_finite_rows,
@@ -384,14 +384,14 @@ class _Planner:
 
     Everything that does not depend on the step's numbers is stored then:
 
-    - the cost: Q = diag(a_d, a_q) and R = 0, and the free parameters of
-      each axis are that axis's coefficients 1..N, so K = a_d K_d + a_q K_q
-      + K_P with the per-axis Gram blocks K_d, K_q and the terminal block
-      K_P; and Ws x_cl, which k uses at every step;
+    - the cost: Q = diag(a_d, a_q) and R = 0, and each free parameter
+      belongs to one axis, so K = a_d K_d + a_q K_q + K_P with the per-axis
+      Gram blocks K_d, K_q and the terminal block K_P; and the Gram matrix
+      applied to the linear part of x, which k uses at every step;
     - Theta, every constraint row of a step as one linear map of the
       step's scalars: G = reshape(Theta @ [1, L a, c, s]) with
       a = n_p omega and Bd = c I + s J from _discretize.  A = A0 + a J, so
-      the input coefficients are u_cl = U0 + (L a) Ua and the polynomial
+      the input's linear part is U0 + (L a) Ua and the polynomial
       rows are the Bernstein rows G0 + (L a) Ga, less the rows left out
       below; columns 0 and 1 of Theta hold G0 and Ga.  The landing rows
       are G_land Bd u0_lin, so columns 2 and 3 hold G_land u0_lin and
@@ -400,8 +400,8 @@ class _Planner:
       maps of phi = [1, x0_d, x0_q, a x0_d, a x0_q, a K / L]: u0 = U phi
       and h = -C phi, less landing_backoff on the landing rows.  A
       polynomial row of C gives its constraint's value at t = 0,
-      G_x x0 + G_u u0 + g0: that is the constant term of the constraint's
-      polynomial, and column 0 of the Bernstein matrix is all ones, so
+      G_x x0 + G_u u0 + g0: that is the constant part of the constraint's
+      polynomial, and a constant's Bernstein coefficients all equal it, so
       every row of one constraint repeats it.  A landing row of C gives
       its current row's value G_x x0 + g0 at the measured state.  phi
       carries the back-EMF term a K / L and not a itself, so it overflows
@@ -439,7 +439,7 @@ class _Planner:
         cost = pmsm_cost(p, scenario.q, 0.0, 0.0, T)
         _, y = parameterize_outputs(fm, np.zeros(2), scenario.degree, T)
         spec = pmsm_constraints(p)
-        _, x_cl, _, v_cl = _chain_coefficients(y, fm.r)
+        x, v = _chain_polynomials(y, fm.r)
         self.p, self.q, self.dt = p, scenario.q, scenario.dt
         self.drift = (0.5 * p.n_p * scenario.dt**2 * (p.I_max + p.K / p.L)
                       / scenario.J_m)
@@ -448,19 +448,22 @@ class _Planner:
         self.b = scenario.b
 
         # The cost, in _quad_block's terms; pmsm_cost has no input weight.
-        self.x_cl, self.P = x_cl, cost.P
-        self.Ws = T * gram_weights(y.degree, 1.0)
-        self.Wcl = np.einsum("ij,bjp->bip", self.Ws, x_cl)
-        self.K_d, self.K_q = np.einsum("aip,aiq->apq", x_cl, self.Wcl)
-        self.sTl = x_cl.sum(axis=1)
+        self.x, self.P = x, cost.P
+        self.Ws = x.gram()
+        self.Wcl = np.einsum("ij,bjp->bip", self.Ws, x.coef_lin)
+        self.K_d, self.K_q = np.einsum("aip,aiq->apq", x.coef_lin, self.Wcl)
+        _, self.sTl = x.at_end()
         self.K_P = np.einsum("ab,ap,bq->pq", cost.P, self.sTl, self.sTl)
 
-        # A = A0 + a J with a = n_p omega, so u_cl = L v_cl - L A x_cl is
-        # U0 + (L a) Ua, and u0 = -L (A x0 + d) with d = -(a K / L) e_q.
+        # A = A0 + a J with a = n_p omega, so the linear part of
+        # u = L v - L A x is that of U0 + (L a) Ua (x(0) = 0 here, and only
+        # linear parts enter the rows), and u0 = -L (A x0 + d) with
+        # d = -(a K / L) e_q.
         J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        U0 = p.L * v_cl - p.L * np.einsum("ij,jkp->ikp", model.A, x_cl)
-        Ua = -np.einsum("ij,jkp->ikp", J, x_cl)
-        self.u0_lin = U0[:, 0]
+        U0 = AffinePolyVector(
+            x.coef0, p.L * v.coef_lin - p.L * (model.A @ x).coef_lin, T)
+        Ua = AffinePolyVector(x.coef0, -(J @ x).coef_lin, T)
+        _, self.u0_lin = U0.at_start()
         self.u0_lin.setflags(write=False)
         self.U = -p.L * np.hstack([np.zeros((2, 1)), model.A, J,
                                    [[0.0], [-1.0]]])
@@ -469,16 +472,14 @@ class _Planner:
         rows = [(k, j) for k in range(spec.n_rows) for j in range(y.degree + 1)]
         keep = [i for i, (k, j) in enumerate(rows)
                 if not (state_only[k] and j == 0)]
-        zero = np.zeros(x_cl.shape[:2])
 
-        def bernstein_rows(x_lin, u_lin):
-            poly = constraint_polynomials(AffinePolyVector(zero, x_lin, T),
-                                          AffinePolyVector(zero, u_lin, T),
-                                          spec)
+        def bernstein_rows(x_poly, u_poly):
+            poly = constraint_polynomials(x_poly, u_poly, spec)
             return _bernstein_rows(poly)[0][keep]
 
-        G0 = bernstein_rows(x_cl, U0)
-        Ga = bernstein_rows(np.zeros_like(x_cl), Ua)
+        G0 = bernstein_rows(x, U0)
+        Ga = bernstein_rows(
+            AffinePolyVector(x.coef0, np.zeros_like(x.coef_lin), T), Ua)
         current = np.flatnonzero(spec.G_x.any(axis=1))
         G_land = spec.G_x[current]
         n_poly, n_free = G0.shape
@@ -524,13 +525,12 @@ class _Planner:
         # Each entry of K is one weight times one Gram entry, as in
         # _quad_block's einsum.
         K = q_diag[0] * self.K_d + q_diag[1] * self.K_q + self.K_P
-        ex0 = np.zeros(self.x_cl.shape[:2])
-        ex0[:, 0] = x0 - x_ref
-        k, k0 = _linear_terms(self.Ws, ex0, self.x_cl, self.Wcl,
-                              np.diag(q_diag))
-        # The terminal term of condition_cost.  P is diagonal and sTl
-        # selects one coefficient sum per column, so each entry of sP @ sTl
-        # is one product, as in condition_cost's einsum.
+        k, k0 = _linear_terms(self.Ws, self.x.constant(x0 - x_ref),
+                              self.x.coef_lin, self.Wcl, np.diag(q_diag))
+        # The terminal term of condition_cost.  P is diagonal and each
+        # column of sTl, the linear part of x(T), is nonzero on one axis,
+        # so each entry of sP @ sTl is one product, as in condition_cost's
+        # einsum.
         sT0 = x0 - x_star
         sP = sT0 @ self.P
         k += 2.0 * (sP @ self.sTl)

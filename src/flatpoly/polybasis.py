@@ -9,12 +9,20 @@ trajectory signal (outputs, chain states, inputs) is then affine in alpha,
 
 which AffinePolyVector stores coefficient-wise.  Costs and constraints
 downstream reduce to quadratic/linear functions of alpha.
+
+This module is the only one that knows the basis.  AffinePolyVector
+applies matrices to its rows, adds stacks and constants, and gives its
+Gram matrix, its values at t = 0 and t = T and its Bernstein
+coefficients; the cost, the constraint rows and the closed-loop planner
+go through these and read no coefficient by position.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +34,7 @@ __all__ = [
     "AffinePoly",
     "AffinePolyVector",
     "ExtrapolationWarning",
+    "gram_weights",
     "apply_initial_conditions",
     "parameterize_outputs",
     "parameterize_states_inputs",
@@ -119,6 +128,43 @@ def _powers(t, T, N):
     return out
 
 
+def gram_weights(N, T):
+    """Exact monomial Gram matrix over [0, T].
+
+    Parameters
+    ----------
+    N : int
+        Maximum power.
+    T : float
+        Upper integration limit, T > 0.
+
+    Returns
+    -------
+    W : (N+1, N+1) ndarray
+        W[i, j] = integral of t^i t^j dt from 0 to T = T^(i+j+1)/(i+j+1).
+    """
+    if N < 0 or not T > 0:
+        raise DimensionMismatch(f"need N >= 0 and T > 0, got N={N}, T={T}")
+    idx = np.arange(N + 1)
+    s = idx[:, None] + idx[None, :] + 1
+    return T**s / s
+
+
+@lru_cache(maxsize=None)
+def _bernstein_matrix(N):
+    """Power-to-Bernstein map on [0, 1]: B[p, j] = C(p, j) / C(N, j), j <= p.
+
+    B @ a gives the Bernstein coefficients of sum_j a_j s^j; row 0 is the
+    value at s = 0, row N the value at s = 1.  Read-only, cached per degree.
+    """
+    B = np.zeros((N + 1, N + 1))
+    for p in range(N + 1):
+        for j in range(p + 1):
+            B[p, j] = math.comb(p, j) / math.comb(N, j)
+    B.setflags(write=False)
+    return B
+
+
 def _check_horizon(t, T):
     t = np.asarray(t, dtype=float)
     if np.any(t < -1e-12 * T) or np.any(t > T * (1 + 1e-12)):
@@ -141,13 +187,20 @@ class AffinePolyVector:
     T : float
         Horizon used to scale the basis.
     role : str
-        What the rows represent: 'output', 'chain', 'state' or 'input'.
+        What the rows represent: 'output', 'chain', 'state', 'input' or
+        'constraint'.
+
+    M @ stack applies the matrix M to the rows, and stack + other adds two
+    stacks row by row; both keep the left stack's role.
     """
 
     coef0: np.ndarray
     coef_lin: np.ndarray
     T: float
     role: str = "output"
+
+    # numpy hands M @ stack to __rmatmul__ instead of converting the stack.
+    __array_ufunc__ = None
 
     @property
     def q(self):
@@ -190,6 +243,48 @@ class AffinePolyVector:
     def __call__(self, alpha, t):
         b0, b_lin = self.affine_eval(t)
         return b0 + b_lin @ np.asarray(alpha, dtype=float)
+
+    def __rmatmul__(self, M):
+        return AffinePolyVector(M @ self.coef0,
+                                np.einsum("ij,jkp->ikp", M, self.coef_lin),
+                                self.T, self.role)
+
+    def __add__(self, other):
+        return AffinePolyVector(self.coef0 + other.coef0,
+                                self.coef_lin + other.coef_lin, self.T, self.role)
+
+    def plus(self, c):
+        """The stack with the constant c_i added to row i."""
+        coef0 = self.coef0.copy()
+        coef0[..., 0] += c
+        return AffinePolyVector(coef0, self.coef_lin, self.T, self.role)
+
+    def constant(self, c):
+        """coef0 of a stack of this shape whose row i is the constant c_i."""
+        coef0 = np.zeros(self.coef0.shape)
+        coef0[..., 0] = c
+        return coef0
+
+    def gram(self):
+        """Gram matrix of the basis on [0, T]: W[i, j] is the integral of
+        (t/T)^i (t/T)^j over [0, T], T / (i + j + 1)."""
+        return self.T * gram_weights(self.degree, 1.0)
+
+    def at_start(self):
+        """(b0, b_lin) with the value at t = 0 equal to b0 + b_lin @ alpha."""
+        return self.coef0[..., 0], self.coef_lin[..., 0, :]
+
+    def at_end(self):
+        """(b0, b_lin) with the value at t = T equal to b0 + b_lin @ alpha."""
+        return self.coef0.sum(axis=-1), self.coef_lin.sum(axis=-2)
+
+    def bernstein(self):
+        """(b0, b_lin): a row's Bernstein coefficient p on [0, T] is
+        b0[..., p] + b_lin[..., p, :] @ alpha, p = 0..N.  The row lies in
+        the convex hull of its coefficients on the whole horizon, and a
+        constant's Bernstein coefficients all equal it."""
+        B = _bernstein_matrix(self.degree)
+        return self.coef0 @ B.T, B @ self.coef_lin
 
 
 #: A single polynomial is an AffinePolyVector without the leading row axis.
@@ -246,13 +341,12 @@ def parameterize_outputs(fm: FlatMap, x0, degree, T):
     return basis, apply_initial_conditions(fm, x0, basis)
 
 
-def _chain_coefficients(y: AffinePolyVector, r):
+def _chain_polynomials(y: AffinePolyVector, r):
     """Chain rows and top derivatives of the output polynomials.
 
-    Returns (z_c0, z_cl, v_c0, v_cl): the chain vector z stacks
-    (y_i, y_i', ..., y_i^(r_i-1)) for each output i, shapes (n, N+1) and
-    (n, N+1, n_free), and v_i = y_i^(r_i), shapes (m, N+1) and
-    (m, N+1, n_free).
+    Returns (z, v), role 'chain': the chain vector z stacks
+    (y_i, y_i', ..., y_i^(r_i-1)) for each output i, n rows, and
+    v_i = y_i^(r_i), m rows.
     """
     n, m = sum(r), len(r)
     Np1, n_free = y.degree + 1, y.n_free
@@ -268,7 +362,8 @@ def _chain_coefficients(y: AffinePolyVector, r):
             row += 1
             der = der.derivative()
         v_c0[i], v_cl[i] = der.coef0, der.coef_lin
-    return z_c0, z_cl, v_c0, v_cl
+    return (AffinePolyVector(z_c0, z_cl, y.T, role="chain"),
+            AffinePolyVector(v_c0, v_cl, y.T, role="chain"))
 
 
 def parameterize_states_inputs(y: AffinePolyVector, fm: FlatMap):
@@ -276,7 +371,7 @@ def parameterize_states_inputs(y: AffinePolyVector, fm: FlatMap):
 
     Builds the chain vector rows (y_i, y_i', ..., y_i^(r_i-1)), applies
     x = Xi_x z + x_off and u = Xi_u_z z + Xi_u_dz v + u_off with
-    v_i = y_i^(r_i).  Offsets enter the constant basis coefficient only.
+    v_i = y_i^(r_i); the offsets are constants added to the rows.
 
     Returns
     -------
@@ -285,22 +380,10 @@ def parameterize_states_inputs(y: AffinePolyVector, fm: FlatMap):
     """
     if y.q != fm.m:
         raise DimensionMismatch(f"expected {fm.m} output rows, got {y.q}")
-    z_c0, z_cl, v_c0, v_cl = _chain_coefficients(y, fm.r)
-
-    x_c0 = fm.Xi_x @ z_c0
-    x_c0[:, 0] += fm.x_off
-    x_cl = np.einsum("ij,jkp->ikp", fm.Xi_x, z_cl)
-
-    u_c0 = fm.Xi_u_z @ z_c0 + fm.Xi_u_dz @ v_c0
-    u_c0[:, 0] += fm.u_off
-    u_cl = np.einsum("ij,jkp->ikp", fm.Xi_u_z, z_cl) + np.einsum(
-        "ij,jkp->ikp", fm.Xi_u_dz, v_cl
-    )
-
-    return (
-        AffinePolyVector(x_c0, x_cl, y.T, role="state"),
-        AffinePolyVector(u_c0, u_cl, y.T, role="input"),
-    )
+    z, v = _chain_polynomials(y, fm.r)
+    x = (fm.Xi_x @ z).plus(fm.x_off)
+    u = (fm.Xi_u_z @ z + fm.Xi_u_dz @ v).plus(fm.u_off)
+    return replace(x, role="state"), replace(u, role="input")
 
 
 def evaluate(poly, alpha, t):

@@ -1,16 +1,12 @@
 """Bernstein-coefficient certificates for polynomial nonpositivity.
 
-A degree-N constraint polynomial P(s) = sum_j a_j s^j on the unit interval
-s = t / T has the Bernstein coefficients
-
-    b_p = sum_{j <= p} C(p, j) / C(N, j) a_j,    p = 0..N,
-
-and P lies in their convex hull on [0, 1] (Farouki, "The Bernstein
-polynomial basis: a centennial retrospective", CAGD 2012).  So b_p <= 0 for
-every p is sufficient for P <= 0 on the whole horizon.  The map a -> b is a
-fixed lower-triangular matrix per degree; conditioning a pointwise
-constraint G_x x(t) + G_u u(t) + g0 <= 0 therefore produces N_c (N+1)
-affine inequality rows in the free parameters.
+A degree-N constraint polynomial P on [0, T] lies in the convex hull of its
+N+1 Bernstein coefficients b_0..b_N (Farouki, "The Bernstein polynomial
+basis: a centennial retrospective", CAGD 2012).  So b_p <= 0 for every p is
+sufficient for P <= 0 on the whole horizon.  The coefficients are affine in
+the free parameters, and polybasis.AffinePolyVector.bernstein gives them;
+conditioning a pointwise constraint G_x x(t) + G_u u(t) + g0 <= 0 therefore
+produces N_c (N+1) affine inequality rows in the free parameters.
 
 The module also keeps the paper's sampled margin Delta(N): the supremum
 over [0, 1] of eps(s) = -prod_{i=1..N} (1 - N s / i), the degree-N
@@ -22,8 +18,7 @@ the conditioned rows do not use it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +33,7 @@ __all__ = [
     "sample_matrix",
     "compute_delta",
     "delta_table",
+    "constraint_polynomials",
     "condition_constraints",
     "verify_nonpositivity",
 ]
@@ -94,21 +90,6 @@ def compute_delta(N):
         for a, b in zip(i[:-1] / N, i[1:] / N)
     ]
     return max([0.0] + [-float(np.prod(1.0 - N * s / i)) for s in crit])
-
-
-@lru_cache(maxsize=None)
-def _bernstein_matrix(N):
-    """Power-to-Bernstein map on [0, 1]: B[p, j] = C(p, j) / C(N, j), j <= p.
-
-    B @ a gives the Bernstein coefficients of sum_j a_j s^j; row 0 is the
-    value at s = 0, row N the value at s = 1.  Read-only, cached per degree.
-    """
-    B = np.zeros((N + 1, N + 1))
-    for p in range(N + 1):
-        for j in range(p + 1):
-            B[p, j] = math.comb(p, j) / math.comb(N, j)
-    B.setflags(write=False)
-    return B
 
 
 @dataclass(frozen=True)
@@ -191,12 +172,8 @@ def constraint_polynomials(x_poly: AffinePolyVector, u_poly: AffinePolyVector,
         )
     if x_poly.T != u_poly.T or x_poly.n_free != u_poly.n_free:
         raise DimensionMismatch("state/input polynomials are inconsistent")
-    c0 = spec.G_x @ x_poly.coef0 + spec.G_u @ u_poly.coef0
-    c0[:, 0] += spec.g0
-    cl = np.einsum("ka,aip->kip", spec.G_x, x_poly.coef_lin) + np.einsum(
-        "kb,bip->kip", spec.G_u, u_poly.coef_lin
-    )
-    return AffinePolyVector(c0, cl, x_poly.T, role="constraint")
+    P = (spec.G_x @ x_poly + spec.G_u @ u_poly).plus(spec.g0)
+    return replace(P, role="constraint")
 
 
 def condition_constraints(x_poly: AffinePolyVector, u_poly: AffinePolyVector,
@@ -223,11 +200,8 @@ def condition_constraints(x_poly: AffinePolyVector, u_poly: AffinePolyVector,
 def _bernstein_rows(P: AffinePolyVector):
     """(G, h) of the rows b_{k,p} <= 0 for a stack of constraint polynomials,
     ordered constraint-major; the core of condition_constraints."""
-    n_c, N = P.q, P.degree
-    B = _bernstein_matrix(N)
-    b0 = P.coef0 @ B.T  # (n_c, N+1)
-    b_lin = B @ P.coef_lin  # (n_c, N+1, n_free)
-    return b_lin.reshape(n_c * (N + 1), -1), -b0.ravel()
+    b0, b_lin = P.bernstein()
+    return b_lin.reshape(P.q * (P.degree + 1), -1), -b0.ravel()
 
 
 def verify_nonpositivity(P: AffinePoly, alpha, T, grid_size=100_000):

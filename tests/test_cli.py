@@ -174,19 +174,27 @@ def test_solve_bad_json_exits_two(tmp_path, capsys):
     string_horizon["cost"]["T"] = "1.0"
     string_matrix = model_doc()
     string_matrix["system"]["A"] = [["0", "1"], ["0", "0"]]
+    # numpy would read a boolean among numbers as 0 or 1.
+    boolean_state = model_doc()
+    boolean_state["initial_state"] = [True, 0]
+    ragged_matrix = model_doc()
+    ragged_matrix["system"]["B"] = [[0], [1, 2]]
     bad = tmp_path / "model.json"
     for text in ("{not json", "[]", json.dumps(null_horizon),
                  json.dumps(fractional_degree),
                  json.dumps(misspelled_constraints),
                  json.dumps(misspelled_reference),
                  json.dumps(extra_basis_key), json.dumps(null_drift),
-                 json.dumps(string_horizon), json.dumps(string_matrix)):
+                 json.dumps(string_horizon), json.dumps(string_matrix),
+                 json.dumps(boolean_state), json.dumps(ragged_matrix)):
         bad.write_text(text)
         rc = cli.main(["solve", "--model", str(bad),
                        "--out", str(tmp_path / "sol.json")])
         assert rc == 2, text
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+        if text == json.dumps(ragged_matrix):
+            assert "'B'" in err[0], err
 
 
 def test_solve_shape_error_exits_two(tmp_path, capsys):
@@ -274,6 +282,8 @@ def test_simulate_pmsm_unknown_key_exits_two(tmp_path, capsys):
     pytest.param({"duration": True}, id="boolean-duration"),
     pytest.param({"machine": None}, id="null-machine"),
     pytest.param({"speed_setpoints": [[0.0, "420"]]}, id="string-setpoint"),
+    pytest.param({"load_torque": [[0.0, 0.0], [True, 8.0]]},
+                 id="boolean-schedule-time"),
 ])
 def test_simulate_pmsm_malformed_scenario_exits_two(tmp_path, capsys, doc):
     scenario = write_json(tmp_path / "scn.json", doc)

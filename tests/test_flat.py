@@ -56,6 +56,19 @@ def test_indices_two_chains():
     assert brunovsky_indices(LtiSystem(A=A, B=B)) == [2, 1]
 
 
+def test_indices_skip_powers_of_an_ended_chain():
+    # u1 drives a single integrator and u2 a chain of three, so the scan
+    # skips A^2 b1 once A b1 has failed the independence test.
+    A = np.zeros((4, 4))
+    A[1, 2] = A[2, 3] = 1.0
+    B = np.eye(4)[:, [0, 3]]
+    sys = LtiSystem(A=A, B=B)
+    assert brunovsky_indices(sys) == [1, 3]
+    fm = flat_transform(sys)
+    assert tuple(fm.r) == (1, 3)
+    np.testing.assert_allclose(fm.Xi_x @ fm.T_z, np.eye(4), atol=1e-12)
+
+
 def test_indices_sum_to_n_and_scale_invariant():
     rng = np.random.default_rng(7)
     for _ in range(25):

@@ -698,6 +698,23 @@ def test_lp_dual_simplex_on_degenerate_rows():
     assert cold_pivots < 136
 
 
+@pytest.mark.parametrize("seed", [421, 582, 780, 879, 984])
+def test_lp_dual_simplex_bland_rule_on_rows_tight_at_one_point(seed):
+    # Every row is tight at the integer point p, so dual pivots of ratio
+    # zero run long enough for the leaving row to be chosen by Bland's
+    # rule; the solve must still end at HiGHS's objective.
+    rng = np.random.default_rng(seed)
+    n = 7
+    M = rng.integers(12, 30)
+    p = rng.integers(-3, 4, n)
+    G = rng.integers(-2, 3, (M, n))
+    ldp = toy_ldp(G, G @ p)
+    res = solve_lp(ldp)
+    status, l1 = highs_l1(ldp)
+    assert res.status == status == "optimal"
+    assert abs(np.abs(res.f).sum() - l1) <= 1e-9 * max(1.0, l1)
+
+
 def benchmark_rows(name):
     doc = json.loads((Path(__file__).parent / "data" / name).read_text())
     return toy_ldp(doc["G"], doc["h"])
