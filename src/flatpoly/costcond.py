@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import lapack
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .flat import QuadraticCostSpec
 from .polybasis import AffinePolyVector
@@ -163,7 +163,7 @@ def _cholesky(K):
     if not np.isfinite(K).all():
         raise NotPositiveDefinite("K contains non-finite entries")
     # dpotrf zeroes the lower triangle (clean=1).
-    F, info = scipy.linalg.lapack.dpotrf(K, lower=0, overwrite_a=0)
+    F, info = lapack.dpotrf(K, lower=0, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefinite(
             f"K is not positive definite: leading minor of order {info} "
@@ -185,7 +185,7 @@ def _solve_upper(F, b, trans=False):
     """
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
-    x, info = scipy.linalg.lapack.dtrtrs(F.T, b, lower=1, trans=0 if trans else 1)
+    x, info = lapack.dtrtrs(F.T, b, lower=1, trans=0 if trans else 1)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"singular matrix: resolution failed at diagonal {info - 1}")

@@ -151,6 +151,14 @@ def gram_weights(N, T):
 
 
 @lru_cache(maxsize=None)
+def _unit_gram(N):
+    """gram_weights(N, 1.0), read-only and cached per degree."""
+    W = gram_weights(N, 1.0)
+    W.setflags(write=False)
+    return W
+
+
+@lru_cache(maxsize=None)
 def _bernstein_matrix(N):
     """Power-to-Bernstein map on [0, 1]: B[p, j] = C(p, j) / C(N, j), j <= p.
 
@@ -268,7 +276,7 @@ class AffinePolyVector:
     def gram(self):
         """Gram matrix of the basis on [0, T]: W[i, j] is the integral of
         (t/T)^i (t/T)^j over [0, T], T / (i + j + 1)."""
-        return self.T * gram_weights(self.degree, 1.0)
+        return self.T * _unit_gram(self.degree)
 
     def at_start(self):
         """(b0, b_lin) with the value at t = 0 equal to b0 + b_lin @ alpha."""

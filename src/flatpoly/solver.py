@@ -68,8 +68,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
 
+from ._lapack import lapack
 from .errors import FlatpolyError
 from .costcond import (
     LeastDistanceProblem,
@@ -260,7 +260,7 @@ def _dual_active_set(Gn, hn, max_iter, warm_start):
         GA = Gn[active]
         # The Gram matrix is symmetric: its transpose is the same matrix in
         # Fortran order, which LAPACK takes without a copy.
-        L, info = scipy.linalg.lapack.dpotrf((GA @ GA.T).T, lower=1)
+        L, info = lapack.dpotrf((GA @ GA.T).T, lower=1)
         d = L.diagonal()
         if info or active.size > n or d.min() ** 2 < GRAM_PIVOT_TOL:
             # dpotrf stops at its first nonpositive pivot, number info.
@@ -295,8 +295,7 @@ def _dual_active_set(Gn, hn, max_iter, warm_start):
             rows = np.append(active, p)
             # Gn[rows] is a fresh C-ordered copy, so its transpose is in
             # Fortran order and LAPACK factors it in place.
-            R, tau, _, _ = scipy.linalg.lapack.dgeqrf(Gn[rows].T,
-                                                      overwrite_a=1)
+            R, tau, _, _ = lapack.dgeqrf(Gn[rows].T, overwrite_a=1)
             if k < n and abs(R[k, k]) > DEPENDENT_ROW_TOL:
                 y = _solve_upper(R[:k + 1], hn[rows], trans=True)
                 u_full = -_solve_upper(R[:k + 1], y)
@@ -305,8 +304,8 @@ def _dual_active_set(Gn, hn, max_iter, warm_start):
                     # f = Q [y; 0] through the reflectors, never forming Q.
                     y_n = np.zeros((n, 1))
                     y_n[:k + 1, 0] = y
-                    f = scipy.linalg.lapack.dormqr("L", "N", R, tau, y_n,
-                                                   1, overwrite_c=1)[0][:, 0]
+                    f = lapack.dormqr("L", "N", R, tau, y_n, 1,
+                                      overwrite_c=1)[0][:, 0]
                     active, u = rows, u_full
                     break
                 # Along the segment from u to u_full, the first multiplier
@@ -458,11 +457,11 @@ def _warm_vertex(Gn, hn, basis):
     if s:
         B = Gt[:, np.concatenate([fp, fn])]
         B[:, n_fp:] *= -1.0
-        *lu, info = scipy.linalg.lapack.dgetrf(B)
+        *lu, info = lapack.dgetrf(B)
         if info > 0:
             return None
-        v, _ = scipy.linalg.lapack.dgetrs(*lu, hn[tight])
-        y, _ = scipy.linalg.lapack.dgetrs(*lu, np.ones(s), trans=1)
+        v, _ = lapack.dgetrs(*lu, hn[tight])
+        y, _ = lapack.dgetrs(*lu, np.ones(s), trans=1)
         if not (np.isfinite(v).all() and np.isfinite(y).all()):
             return None
         primal = not (v < -tol).any()
@@ -512,7 +511,7 @@ def _dual_simplex(Gn, hn, start, max_iter):
         # the basic fp, fn rows through the s x s block; each basic slack
         # row is its own row of [A | hn] less what the basic fp, fn columns
         # take.
-        top, _ = scipy.linalg.lapack.dgetrs(*start.lu, full[tight])
+        top, _ = lapack.dgetrs(*start.lu, full[tight])
         rest = full[~tight]
         tableau = np.vstack([top, rest - rest[:, cols[:s]] @ top])
     cost = np.zeros(2 * n + M)

@@ -359,15 +359,53 @@ def test_log_env_routed_to_stderr(tmp_path):
     assert "solution written" in proc2.stderr
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # A child process, because other test modules import scipy.optimize.
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # A child process, because other test modules import scipy.optimize
+    # and scipy.linalg.  Neither import nor a constrained solve with both
+    # solvers loads scipy.linalg: flatpoly calls its LAPACK module only.
+    constraints = {"G_x": [[0.0, 0.0]], "G_u": [[1.0]], "g0": [-0.8]}
+    model = write_json(tmp_path / "model.json", model_doc(constraints))
+    solve = ["solve", "--model", model, "--solver", "both",
+             "--out", str(tmp_path / "sol.json")]
     code = ("import sys, flatpoly, flatpoly.cli; "
             "assert 'scipy.optimize' not in sys.modules, 'loaded at import'; "
+            "assert 'scipy.linalg' not in sys.modules, 'loaded at import'; "
+            f"assert flatpoly.cli.main({solve!r}) == 0; "
+            "assert 'scipy.linalg' not in sys.modules, 'loaded by solve'; "
             "print(flatpoly.compute_delta(2))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0.125"
+
+
+@pytest.mark.parametrize("imports", ["flatpoly, scipy.linalg.lapack",
+                                     "scipy.linalg.lapack, flatpoly"])
+def test_lapack_routines_are_scipys(imports):
+    # Whichever is imported first, flatpoly calls the very routine objects
+    # of scipy.linalg.lapack, so its results are scipy's to the bit.
+    code = (f"import {imports}, scipy.linalg.lapack as sl; "
+            "from flatpoly._lapack import lapack; "
+            "names = 'dpotrf dtrtrs dgeqrf dormqr dgetrf dgetrs'.split(); "
+            "assert all(getattr(lapack, n) is getattr(sl, n) "
+            "for n in names), names")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_missing_lapack_module_names_the_searched_path(tmp_path):
+    # A scipy without scipy/linalg/_flapack*: the import fails and says
+    # where it looked, rather than falling back to another LAPACK.
+    (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    env = child_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+    proc = subprocess.run([sys.executable, "-c", "import flatpoly"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "ImportError: no scipy LAPACK module _flapack in " + str(
+        tmp_path / "scipy" / "linalg") in proc.stderr
 
 
 def reference_csv(header, rows):
