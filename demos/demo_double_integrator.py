@@ -44,13 +44,13 @@ pc = condition_cost(x_poly, u_poly, cost)
 bounds = LinearConstraintSpec(
     G_x=np.zeros((2, 2)), G_u=[[1.0], [-1.0]], g0=[-0.6, -0.6]
 )
-acs = condition_constraints(x_poly, u_poly, bounds, T)
+acs = condition_constraints(x_poly, u_poly, bounds)
 print(f"conditioned rows: {acs.n_rows} (2 bounds x {N + 1} Bernstein coefficients)")
 
 ldp = least_distance_transform(pc, acs)
 qp = solve_qp(ldp)
 lp = solve_lp(ldp)
-report = suboptimality_report(qp, lp, pc)
+report = suboptimality_report(qp, lp, ldp)
 
 print(f"qp: J = {qp.quadratic_cost:.6f}, iterations = {qp.iterations}, "
       f"active rows = {list(qp.active_rows)}")

@@ -14,7 +14,10 @@ argument parser is built once per process, so in-process callers (tests,
 library use, the benchmark) pay for it once.
 
 Exit codes: 0 success; 1 infeasible or non-optimal solve; 2 argument,
-parse, or shape errors; 3 non-convex conditioned cost.  The environment
+parse, or shape errors; 3 the Cholesky factorization of the conditioned
+cost's K failed.  K is convex by construction (Q, R and P are PSD), so
+that means K is singular or too ill-conditioned for the power basis's
+factorization; the message still says "not convex".  The environment
 variable FLATPOLY_LOG (off | info | debug) routes diagnostics to standard
 error; standard output carries only data.
 """
@@ -225,9 +228,7 @@ def cmd_solve(args):
     pc = condition_cost(x_poly, u_poly, config.cost)
     acs = None
     if config.constraints is not None:
-        acs = condition_constraints(
-            x_poly, u_poly, config.constraints, config.cost.T
-        )
+        acs = condition_constraints(x_poly, u_poly, config.constraints)
     ldp = least_distance_transform(pc, acs)
 
     results = {}
@@ -240,7 +241,7 @@ def cmd_solve(args):
     if args.solver == "both" and all(
         r.status == "optimal" for r in results.values()
     ):
-        rep = suboptimality_report(results["qp"], results["lp"], pc)
+        rep = suboptimality_report(results["qp"], results["lp"], ldp)
         doc["suboptimality"] = {
             "j_lp": rep.j_lp,
             "j_unconstrained": rep.j0,

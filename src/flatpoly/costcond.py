@@ -63,8 +63,13 @@ class ParameterizedCost:
 
 def quadratic_value(pc: ParameterizedCost, alpha):
     """Evaluate J(alpha) = alpha' K alpha + k' alpha + k0."""
-    a = np.asarray(alpha, dtype=float)
-    return float(a @ pc.K @ a + pc.k @ a + pc.k0)
+    return _quadratic(pc.K, pc.k, pc.k0, np.asarray(alpha, dtype=float))
+
+
+def _quadratic(K, k, k0, a):
+    """a' K a + k' a + k0 as a float; quadratic_value and the least-distance
+    constant J(alpha0) both evaluate J here, so they agree to the last bit."""
+    return float(a @ K @ a + k @ a + k0)
 
 
 def _quad_block(W, c0, cl, M):
@@ -152,8 +157,9 @@ def assert_convexity(pc: ParameterizedCost):
     Raises
     ------
     NotPositiveDefinite
-        With the 1-based index of the failing pivot.  Typically signals a
-        degenerate weighting that leaves some parameter direction free.
+        With the 1-based index of the failing pivot.  K is PSD by
+        construction, so this signals a weighting that leaves some
+        parameter direction free, or a K too ill-conditioned to factor.
     """
     return _cholesky(pc.K)
 
@@ -192,26 +198,25 @@ def _solve_upper(F, b, trans=False):
     return x
 
 
-def _alpha0(F, k):
-    """alpha0 = -K^{-1} k / 2 through the Cholesky factor F of K."""
-    return _solve_upper(F, _solve_upper(F, -0.5 * k, trans=True))
-
-
 def unconstrained_optimum(pc: ParameterizedCost):
-    """Unconstrained minimizer alpha0 = -K^{-1} k / 2.
+    """Unconstrained minimizer alpha0 = -K^{-1} k / 2, the alpha0 of
+    least_distance_transform(pc).
 
     Solves through the Cholesky factor, so the gradient 2 K alpha0 + k
     vanishes to factorization accuracy.
     """
-    return _alpha0(assert_convexity(pc), pc.k)
+    return least_distance_transform(pc).alpha0
 
 
 @dataclass(frozen=True)
 class LeastDistanceProblem:
     """min f'f + c over G f <= h, with alpha = alpha0 + F^{-1} f.
 
-    F is the upper-triangular Cholesky factor of K; c = J(alpha0).  The
-    constraint rows keep their original order and provenance tags.
+    F is the upper-triangular Cholesky factor of K; c = J(alpha0).  These
+    are the conditioned problem's only F, alpha0 and J(alpha0): the
+    unconstrained solve and the suboptimality report read them here
+    instead of factoring K again.  The constraint rows keep their original
+    order and provenance tags.
     """
 
     F: np.ndarray
@@ -265,8 +270,9 @@ def _least_distance(K, k, k0, G, h, tags):
     """least_distance_transform on checked arrays: K symmetric, G and h
     finite, G with K's column count.  Certifies K by its Cholesky factor."""
     F = _cholesky(K)
-    alpha0 = _alpha0(F, k)
-    c = float(alpha0 @ K @ alpha0 + k @ alpha0 + k0)
+    # alpha0 = -K^{-1} k / 2 through F.
+    alpha0 = _solve_upper(F, _solve_upper(F, -0.5 * k, trans=True))
+    c = _quadratic(K, k, k0, alpha0)
     # Solve X F = G, i.e. F' X' = G'.
     return LeastDistanceProblem(
         F=F, alpha0=alpha0, c=c,

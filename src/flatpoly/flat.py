@@ -413,7 +413,7 @@ class LinearConstraintSpec:
         if vacuous.any():
             warnings.warn(
                 f"dropping {int(vacuous.sum())} vacuous constraint row(s)",
-                stacklevel=2,
+                stacklevel=3,
             )
             keep = ~vacuous
             G_x, G_u, g0 = G_x[keep], G_u[keep], g0[keep]

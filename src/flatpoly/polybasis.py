@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -99,7 +99,7 @@ class BasisSpec:
             warnings.warn(
                 f"degree {N} power basis is poorly conditioned; "
                 "expect reduced accuracy in the cost factorization",
-                stacklevel=2,
+                stacklevel=3,
             )
         object.__setattr__(self, "degree", N)
         object.__setattr__(self, "T", float(self.T))
@@ -194,18 +194,14 @@ class AffinePolyVector:
         Coefficient j is coef0[..., j] + coef_lin[..., j, :] @ alpha.
     T : float
         Horizon used to scale the basis.
-    role : str
-        What the rows represent: 'output', 'chain', 'state', 'input' or
-        'constraint'.
 
     M @ stack applies the matrix M to the rows, and stack + other adds two
-    stacks row by row; both keep the left stack's role.
+    stacks row by row.
     """
 
     coef0: np.ndarray
     coef_lin: np.ndarray
     T: float
-    role: str = "output"
 
     # numpy hands M @ stack to __rmatmul__ instead of converting the stack.
     __array_ufunc__ = None
@@ -225,7 +221,7 @@ class AffinePolyVector:
 
     def row(self, i):
         """Row i of a stack as a single polynomial."""
-        return AffinePolyVector(self.coef0[i], self.coef_lin[i], self.T, self.role)
+        return AffinePolyVector(self.coef0[i], self.coef_lin[i], self.T)
 
     def derivative(self, order=1):
         """Time derivative of the same shape (trailing coefficients zero)."""
@@ -236,7 +232,7 @@ class AffinePolyVector:
             d0[..., :-1] = c0[..., 1:] * j / T
             dl[..., :-1, :] = cl[..., 1:, :] * j[:, None] / T
             c0, cl = d0, dl
-        return AffinePolyVector(c0, cl, T, self.role)
+        return AffinePolyVector(c0, cl, T)
 
     def affine_eval(self, t):
         """(b0, b_lin) with value = b0 + b_lin @ alpha, shaped lead + t.shape
@@ -255,17 +251,17 @@ class AffinePolyVector:
     def __rmatmul__(self, M):
         return AffinePolyVector(M @ self.coef0,
                                 np.einsum("ij,jkp->ikp", M, self.coef_lin),
-                                self.T, self.role)
+                                self.T)
 
     def __add__(self, other):
         return AffinePolyVector(self.coef0 + other.coef0,
-                                self.coef_lin + other.coef_lin, self.T, self.role)
+                                self.coef_lin + other.coef_lin, self.T)
 
     def plus(self, c):
         """The stack with the constant c_i added to row i."""
         coef0 = self.coef0.copy()
         coef0[..., 0] += c
-        return AffinePolyVector(coef0, self.coef_lin, self.T, self.role)
+        return AffinePolyVector(coef0, self.coef_lin, self.T)
 
     def constant(self, c):
         """coef0 of a stack of this shape whose row i is the constant c_i."""
@@ -310,7 +306,7 @@ def apply_initial_conditions(fm: FlatMap, x0, basis: BasisSpec):
     Returns
     -------
     AffinePolyVector
-        The m flat outputs, role 'output'.
+        The m flat outputs.
     """
     if tuple(basis.r) != tuple(fm.r):
         raise DimensionMismatch(
@@ -334,7 +330,7 @@ def apply_initial_conditions(fm: FlatMap, x0, basis: BasisSpec):
             coef_lin[i, k, pos] = 1.0
             pos += 1
         offset += ri
-    return AffinePolyVector(coef0, coef_lin, T, role="output")
+    return AffinePolyVector(coef0, coef_lin, T)
 
 
 def parameterize_outputs(fm: FlatMap, x0, degree, T):
@@ -352,7 +348,7 @@ def parameterize_outputs(fm: FlatMap, x0, degree, T):
 def _chain_polynomials(y: AffinePolyVector, r):
     """Chain rows and top derivatives of the output polynomials.
 
-    Returns (z, v), role 'chain': the chain vector z stacks
+    Returns (z, v): the chain vector z stacks
     (y_i, y_i', ..., y_i^(r_i-1)) for each output i, n rows, and
     v_i = y_i^(r_i), m rows.
     """
@@ -370,8 +366,8 @@ def _chain_polynomials(y: AffinePolyVector, r):
             row += 1
             der = der.derivative()
         v_c0[i], v_cl[i] = der.coef0, der.coef_lin
-    return (AffinePolyVector(z_c0, z_cl, y.T, role="chain"),
-            AffinePolyVector(v_c0, v_cl, y.T, role="chain"))
+    return (AffinePolyVector(z_c0, z_cl, y.T),
+            AffinePolyVector(v_c0, v_cl, y.T))
 
 
 def parameterize_states_inputs(y: AffinePolyVector, fm: FlatMap):
@@ -383,15 +379,15 @@ def parameterize_states_inputs(y: AffinePolyVector, fm: FlatMap):
 
     Returns
     -------
-    x : AffinePolyVector, role 'state'
-    u : AffinePolyVector, role 'input'
+    x : AffinePolyVector, the n states
+    u : AffinePolyVector, the m inputs
     """
     if y.q != fm.m:
         raise DimensionMismatch(f"expected {fm.m} output rows, got {y.q}")
     z, v = _chain_polynomials(y, fm.r)
     x = (fm.Xi_x @ z).plus(fm.x_off)
     u = (fm.Xi_u_z @ z + fm.Xi_u_dz @ v).plus(fm.u_off)
-    return replace(x, role="state"), replace(u, role="input")
+    return x, u
 
 
 def evaluate(poly, alpha, t):

@@ -18,7 +18,7 @@ the conditioned rows do not use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -172,23 +172,20 @@ def constraint_polynomials(x_poly: AffinePolyVector, u_poly: AffinePolyVector,
         )
     if x_poly.T != u_poly.T or x_poly.n_free != u_poly.n_free:
         raise DimensionMismatch("state/input polynomials are inconsistent")
-    P = (spec.G_x @ x_poly + spec.G_u @ u_poly).plus(spec.g0)
-    return replace(P, role="constraint")
+    return (spec.G_x @ x_poly + spec.G_u @ u_poly).plus(spec.g0)
 
 
 def condition_constraints(x_poly: AffinePolyVector, u_poly: AffinePolyVector,
-                          spec: LinearConstraintSpec, T
-                          ) -> AffineConstraintSet:
+                          spec: LinearConstraintSpec) -> AffineConstraintSet:
     """Emit the sufficient affine rows for all pointwise constraints.
 
     For every constraint row k with polynomial P_k of degree N, the emitted
     conditions are b_{k,p} <= 0 for its Bernstein coefficients p = 0..N on
     the horizon, i.e. N_c (N+1) rows total, each affine in alpha (row:
     grad' alpha <= h).  Any alpha meeting them keeps every P_k <= 0 on all
-    of [0, T].
+    of the polynomials' horizon [0, T].  A spec with no rows gives a set
+    with no rows.
     """
-    if not np.isclose(T, x_poly.T):
-        raise DimensionMismatch(f"horizon {T} vs polynomial horizon {x_poly.T}")
     P = constraint_polynomials(x_poly, u_poly, spec)
     G, h = _bernstein_rows(P)
     return AffineConstraintSet(
@@ -201,16 +198,17 @@ def _bernstein_rows(P: AffinePolyVector):
     """(G, h) of the rows b_{k,p} <= 0 for a stack of constraint polynomials,
     ordered constraint-major; the core of condition_constraints."""
     b0, b_lin = P.bernstein()
-    return b_lin.reshape(P.q * (P.degree + 1), -1), -b0.ravel()
+    return b_lin.reshape(P.q * (P.degree + 1), P.n_free), -b0.ravel()
 
 
-def verify_nonpositivity(P: AffinePoly, alpha, T, grid_size=100_000):
-    """Max of the instantiated polynomial over a dense uniform grid on [0, T].
+def verify_nonpositivity(P: AffinePoly, alpha, grid_size=100_000):
+    """Max of the instantiated polynomial over a dense uniform grid on its
+    horizon [0, P.T].
 
     A test oracle: conditioned constraints promise this stays at or below
     zero (up to rounding in the rows and the solver's feasibility
     tolerance).  Use at least ~10^3 points for the grid to resolve
     interior maxima.
     """
-    t = np.linspace(0.0, T, int(grid_size))
+    t = np.linspace(0.0, P.T, int(grid_size))
     return float(np.max(P(np.asarray(alpha, dtype=float), t)))

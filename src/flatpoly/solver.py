@@ -75,8 +75,7 @@ from .costcond import (
     LeastDistanceProblem,
     ParameterizedCost,
     _solve_upper,
-    quadratic_value,
-    unconstrained_optimum,
+    least_distance_transform,
 )
 
 __all__ = [
@@ -153,12 +152,13 @@ SuboptimalityReport = namedtuple(
 
 
 def solve_unconstrained(pc: ParameterizedCost) -> SolveResult:
-    """Closed-form minimizer of the conditioned cost, ignoring constraints."""
-    alpha0 = unconstrained_optimum(pc)
+    """Closed-form minimizer of the conditioned cost, ignoring constraints:
+    the alpha0 and J(alpha0) of least_distance_transform(pc)."""
+    ldp = least_distance_transform(pc)
     return SolveResult(
-        alpha=alpha0,
-        f=np.zeros(pc.n_free),
-        quadratic_cost=quadratic_value(pc, alpha0),
+        alpha=ldp.alpha0,
+        f=np.zeros(ldp.n_free),
+        quadratic_cost=ldp.c,
         iterations=0,
         solver="unconstrained",
         active_rows=(),
@@ -608,14 +608,15 @@ def solve_lp(ldp: LeastDistanceProblem, max_iter=None, warm_start=None
 
 
 def suboptimality_report(qp: SolveResult, lp: SolveResult,
-                         pc: ParameterizedCost, tol=1e-8
+                         ldp: LeastDistanceProblem, tol=1e-8
                          ) -> SuboptimalityReport:
     """Worst-case bound check relating the LP vertex to the QP optimum.
 
-    With J0 the unconstrained minimum and J_C = J(QP) - J0 the constraint
-    cost, the LP solution's quadratic cost is bounded by J0 + n_free * J_C:
-    the LP coordinate sum bounds the Euclidean norm by at most a sqrt of
-    the dimension, squared in the cost.
+    qp and lp are solutions of ldp.  With J0 = ldp.c the unconstrained
+    minimum and J_C = J(QP) - J0 the constraint cost, the LP solution's
+    quadratic cost is bounded by J0 + n_free * J_C: the LP coordinate sum
+    bounds the Euclidean norm by at most a sqrt of the dimension, squared
+    in the cost.
 
     Returns
     -------
@@ -623,10 +624,9 @@ def suboptimality_report(qp: SolveResult, lp: SolveResult,
     """
     if qp.status != "optimal" or lp.status != "optimal":
         raise FlatpolyError("suboptimality report needs two optimal results")
-    alpha0 = unconstrained_optimum(pc)
-    j0 = quadratic_value(pc, alpha0)
+    j0 = ldp.c
     j_c = qp.quadratic_cost - j0
-    bound = j0 + pc.n_free * j_c
+    bound = j0 + ldp.n_free * j_c
     return SuboptimalityReport(
         j_lp=lp.quadratic_cost,
         j0=j0,

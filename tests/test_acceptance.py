@@ -17,7 +17,6 @@ import pytest
 
 from flatpoly import (
     LinearConstraintSpec,
-    ParameterizedCost,
     PmsmParams,
     QuadraticCostSpec,
     Scenario,
@@ -120,7 +119,7 @@ def _random_constrained_instance(rng):
         G_x=np.zeros((2 * m, n)), G_u=G_u, g0=-np.r_[bound, bound]
     )
     for _ in range(4):
-        acs = condition_constraints(x_poly, u_poly, spec, T)
+        acs = condition_constraints(x_poly, u_poly, spec)
         ldp = least_distance_transform(pc, acs)
         qp = solve_qp(ldp)
         if qp.status == "optimal":
@@ -227,16 +226,13 @@ def test_criterion_5_optimizer_correctness():
         norms = np.linalg.norm(ldp.G, axis=1)
         if ((ldp.G @ lp.f - ldp.h) / norms).max() > 1e-8:
             lp_ok = False
-        pc = ParameterizedCost(K=np.eye(ldp.n_free),
-                               k=np.zeros(ldp.n_free), k0=0.0)
-        if not suboptimality_report(qp, lp, pc, tol=1e-8).holds:
+        if not suboptimality_report(qp, lp, ldp, tol=1e-8).holds:
             lp_ok = False
     # 2-D halfspace: the L1 vertex attains the worst-case bound exactly
     toy = toy_ldp([[-1.0, -1.0]], [-1.0])
     qp_t = solve_qp(toy)
     lp_t = solve_lp(toy)
-    pc_t = ParameterizedCost(K=np.eye(2), k=np.zeros(2), k0=0.0)
-    rep = suboptimality_report(qp_t, lp_t, pc_t)
+    rep = suboptimality_report(qp_t, lp_t, toy)
     tight = abs(rep.j_lp - rep.bound) <= 1e-9
     ok = kkt_ok and lp_ok and tight and compared >= 10_000
     detail = (

@@ -5,12 +5,14 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flatpoly
+import flatpoly.costcond as costcond_module
 import flatpoly.flat as flat_module
 from flatpoly import cli, pmsm_sim
 from flatpoly.flat import flat_transform
@@ -107,6 +109,56 @@ def test_solve_computes_controllability_svd_once(tmp_path, monkeypatch):
     assert cli.main(["solve", "--model", model, "--solver", "both",
                      "--out", str(tmp_path / "sol.json")]) == 0
     assert calls == [(2, 2)]
+
+
+def test_solve_both_factors_cost_once(tmp_path, monkeypatch):
+    # The least-distance problem owns the Cholesky factor of K, the
+    # unconstrained optimum and J there; the suboptimality report reads
+    # J0 from it instead of factoring K again.
+    calls, ldps = [], []
+    cholesky = costcond_module._cholesky
+    transform = cli.least_distance_transform
+
+    def counted(K):
+        calls.append(K.shape)
+        return cholesky(K)
+
+    def kept(*args):
+        ldps.append(transform(*args))
+        return ldps[-1]
+
+    monkeypatch.setattr(costcond_module, "_cholesky", counted)
+    monkeypatch.setattr(cli, "least_distance_transform", kept)
+    constraints = {"G_x": [[0.0, 0.0]], "G_u": [[1.0]], "g0": [-0.8]}
+    model = write_json(tmp_path / "model.json", model_doc(constraints))
+    out = tmp_path / "sol.json"
+    assert cli.main(["solve", "--model", model, "--solver", "both",
+                     "--out", str(out)]) == 0
+    assert len(calls) == 1
+    doc = json.loads(out.read_text())
+    assert doc["suboptimality"]["j_unconstrained"] == ldps[0].c
+
+
+def test_solve_all_rows_vacuous_matches_unconstrained(tmp_path):
+    # Every row is dropped as vacuous, which leaves an unconstrained
+    # problem: the same solution and trajectory bytes as no constraints.
+    outputs = []
+    for name, constraints in (
+        ("none", None),
+        ("vacuous", {"G_x": [[0, 0]], "G_u": [[0]], "g0": [-1]}),
+    ):
+        model = write_json(tmp_path / f"{name}.json", model_doc(constraints))
+        out = tmp_path / f"{name}-sol.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["solve", "--model", model, "--solver", "both",
+                             "--out", str(out)]) == 0
+        assert [str(w.message) for w in caught] == (
+            [] if constraints is None
+            else ["dropping 1 vacuous constraint row(s)"])
+        outputs.append((out.read_bytes(),
+                        (tmp_path / f"{name}-sol.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_solve_qp_only_output(tmp_path):

@@ -223,12 +223,14 @@ def test_constraint_spec_validation():
     with pytest.raises(DimensionMismatch):
         LinearConstraintSpec(G_x=np.ones((2, 2)), G_u=np.ones((3, 1)),
                              g0=np.zeros(2))
-    with pytest.warns(UserWarning, match="vacuous"):
+    with pytest.warns(UserWarning, match="vacuous") as record:
         spec = LinearConstraintSpec(
             G_x=[[0.0, 0.0], [1.0, 0.0]],
             G_u=[[0.0], [0.0]],
             g0=[-1.0, 0.0],
         )
+    # Reported at the constructing line, not in the dataclass __init__.
+    assert record[0].filename == __file__
     assert spec.n_rows == 1
     # A constant positive row is kept so infeasibility can surface later.
     spec2 = LinearConstraintSpec(G_x=[[0.0]], G_u=[[0.0]], g0=[1.0])

@@ -261,7 +261,7 @@ def test_frozen_speed_model_error_within_current_budget():
     basis, y = parameterize_outputs(fm, x0, N, T)
     x_poly, u_poly = parameterize_states_inputs(y, fm)
     pc = condition_cost(x_poly, u_poly, pmsm_cost(p, 20.0, omega0, tau_ref, T))
-    acs = condition_constraints(x_poly, u_poly, pmsm_constraints(p), T)
+    acs = condition_constraints(x_poly, u_poly, pmsm_constraints(p))
     res = solve_qp(least_distance_transform(pc, acs))
     assert res.status == "optimal"
 
@@ -464,7 +464,7 @@ def reference_ldp(p, scenario, x0, omega, tau_star):
     x_poly, u_poly = parameterize_states_inputs(y, fm)
     pc = condition_cost(x_poly, u_poly, cost)
     spec = pmsm_constraints(p)
-    acs = condition_constraints(x_poly, u_poly, spec, T)
+    acs = condition_constraints(x_poly, u_poly, spec)
     norms = np.linalg.norm(acs.G, axis=1)
     keep = norms > 1e-10 * max(1.0, norms.max())
     Ad, Bd, dd = expm_discretization(sys, scenario.dt)

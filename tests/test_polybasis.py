@@ -39,8 +39,10 @@ def test_basis_spec_validation():
         BasisSpec(degree=16, T=1.0, r=(1,))
     with pytest.raises(DegreeTooLow):
         BasisSpec(degree=1, T=1.0, r=(2,))
-    with pytest.warns(UserWarning, match="poorly conditioned"):
+    with pytest.warns(UserWarning, match="poorly conditioned") as record:
         BasisSpec(degree=13, T=1.0, r=(1,))
+    # Reported at the constructing line, not in the dataclass __init__.
+    assert record[0].filename == __file__
     b = BasisSpec(degree=5, T=2.0, r=(2, 1))
     assert b.n_free == 2 * 6 - 3
 

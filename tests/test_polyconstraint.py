@@ -130,16 +130,16 @@ def test_tightness_certificate():
         )
         np.testing.assert_allclose(samples, 0.0, atol=1e-8)
         P = constant_poly(np.r_[-1.0, w], T=1.0)
-        top = verify_nonpositivity(P, np.zeros(1), 1.0, grid_size=100_000)
+        top = verify_nonpositivity(P, np.zeros(1), grid_size=100_000)
         np.testing.assert_allclose(top, compute_delta(N), rtol=1e-3)
 
 
 def test_verify_nonpositivity_trivial():
     P = constant_poly([-1.0], T=1.0)
-    assert verify_nonpositivity(P, np.zeros(1), 1.0, grid_size=1000) == -1.0
+    assert verify_nonpositivity(P, np.zeros(1), grid_size=1000) == -1.0
     T = 2.0
     P2 = constant_poly([-T / 2.0, T], T=T)
-    assert verify_nonpositivity(P2, np.zeros(1), T, grid_size=1000) == (
+    assert verify_nonpositivity(P2, np.zeros(1), grid_size=1000) == (
         pytest.approx(T / 2.0)
     )
 
@@ -155,7 +155,7 @@ def double_integrator_pipeline(degree, T=1.0, x0=(0.0, 0.0)):
 def test_condition_constraints_row_count_and_tags():
     basis, x_poly, u_poly = double_integrator_pipeline(3)
     spec = LinearConstraintSpec(G_x=np.zeros((1, 2)), G_u=[[1.0]], g0=[-1.0])
-    acs = condition_constraints(x_poly, u_poly, spec, 1.0)
+    acs = condition_constraints(x_poly, u_poly, spec)
     assert acs.n_rows == 1 * (3 + 1)
     assert acs.tags == ((0, 0), (0, 1), (0, 2), (0, 3))
     assert acs.G.shape == (4, basis.n_free)
@@ -170,8 +170,19 @@ def test_vacuous_constant_row_dropped():
         )
     assert spec.G_u.shape[0] == 1
     basis, x_poly, u_poly = double_integrator_pipeline(3)
-    acs = condition_constraints(x_poly, u_poly, spec, 1.0)
+    acs = condition_constraints(x_poly, u_poly, spec)
     assert acs.n_rows == 4
+
+
+def test_all_rows_vacuous_gives_empty_set():
+    with pytest.warns(UserWarning, match="vacuous"):
+        spec = LinearConstraintSpec(G_x=np.zeros((1, 2)), G_u=[[0.0]],
+                                    g0=[-1.0])
+    assert spec.n_rows == 0
+    basis, x_poly, u_poly = double_integrator_pipeline(3)
+    acs = condition_constraints(x_poly, u_poly, spec)
+    assert acs.n_rows == 0 and acs.tags == ()
+    assert acs.G.shape == (0, basis.n_free)
 
 
 def test_low_degree_constraint_polynomials_never_overshoot():
@@ -180,13 +191,13 @@ def test_low_degree_constraint_polynomials_never_overshoot():
     rng = np.random.default_rng(61)
     basis, x_poly, u_poly = double_integrator_pipeline(3, x0=(0.3, -0.2))
     spec = LinearConstraintSpec(G_x=np.zeros((1, 2)), G_u=[[1.0]], g0=[-1.0])
-    acs = condition_constraints(x_poly, u_poly, spec, 1.0)
+    acs = condition_constraints(x_poly, u_poly, spec)
     P = constraint_polynomials(x_poly, u_poly, spec).row(0)
     for _ in range(50):
         res = project_feasible(acs, 3.0 * rng.standard_normal(basis.n_free),
                                rng)
         assert res.status == "optimal"
-        top = verify_nonpositivity(P, res.alpha, 1.0, grid_size=100_000)
+        top = verify_nonpositivity(P, res.alpha, grid_size=100_000)
         assert top <= 1e-9
 
 
@@ -204,18 +215,16 @@ def test_conditioned_rows_are_sound_for_random_polynomials():
         nf = N + 1
         coef0 = rng.standard_normal((1, N + 1))
         coef_lin = rng.standard_normal((1, N + 1, nf))
-        x_poly = AffinePolyVector(coef0=coef0, coef_lin=coef_lin, T=T,
-                                  role="state")
+        x_poly = AffinePolyVector(coef0=coef0, coef_lin=coef_lin, T=T)
         u_poly = AffinePolyVector(coef0=np.zeros((1, N + 1)),
-                                  coef_lin=np.zeros((1, N + 1, nf)), T=T,
-                                  role="input")
+                                  coef_lin=np.zeros((1, N + 1, nf)), T=T)
         spec = LinearConstraintSpec(G_x=[[1.0]], G_u=[[0.0]], g0=[0.0])
-        acs = condition_constraints(x_poly, u_poly, spec, T)
+        acs = condition_constraints(x_poly, u_poly, spec)
         res = project_feasible(acs, rng.standard_normal(nf), rng)
         if res.status != "optimal":
             continue
         P = constraint_polynomials(x_poly, u_poly, spec).row(0)
-        top = verify_nonpositivity(P, res.alpha, T, grid_size=100_000)
+        top = verify_nonpositivity(P, res.alpha, grid_size=100_000)
         coefs = P.coef0 + P.coef_lin @ res.alpha
         scale = max(1.0, float(np.abs(coefs).max()))
         if top / scale > worst:

@@ -145,8 +145,7 @@ def test_lp_halfspace_vertex_and_bound_equality():
     assert lp.status == "optimal"
     np.testing.assert_allclose(np.abs(lp.f).sum(), 1.0, atol=1e-12)
     assert lp.quadratic_cost == pytest.approx(1.0)
-    pc = ParameterizedCost(K=np.eye(2), k=np.zeros(2), k0=0.0)
-    report = suboptimality_report(qp, lp, pc)
+    report = suboptimality_report(qp, lp, ldp)
     assert report.holds
     assert report.bound == pytest.approx(1.0)
     assert report.j_lp == pytest.approx(report.bound)
@@ -201,10 +200,7 @@ def test_lp_random_instances_feasible_and_bounded():
         resid = (ldp.G @ lp.f - ldp.h) / norms
         assert resid.max() <= FEASIBILITY_TOL
         assert qp.quadratic_cost <= lp.quadratic_cost + 1e-9
-        pc = ParameterizedCost(
-            K=np.eye(ldp.n_free), k=np.zeros(ldp.n_free), k0=0.0
-        )
-        assert suboptimality_report(qp, lp, pc).holds
+        assert suboptimality_report(qp, lp, ldp).holds
 
 
 def test_lp_agrees_with_qp_when_origin_feasible():
@@ -810,6 +806,5 @@ def test_suboptimality_report_requires_optimal_pair():
     ldp = toy_ldp([[1.0, 0.0], [-1.0, 0.0]], [-1.0, 0.0])
     bad = solve_qp(ldp)
     good = solve_qp(toy_ldp([[-1.0, -1.0]], [-1.0]))
-    pc = ParameterizedCost(K=np.eye(2), k=np.zeros(2), k0=0.0)
     with pytest.raises(FlatpolyError):
-        suboptimality_report(bad, good, pc)
+        suboptimality_report(bad, good, ldp)
